@@ -31,6 +31,11 @@ bool ResultCache::Probe(const ResultCacheKey& key, std::vector<ChunkData>* out) 
   return true;
 }
 
+bool ResultCache::Contains(const ResultCacheKey& key) const {
+  MutexLock lock(mutex_);
+  return entries_.find(key) != entries_.end();
+}
+
 namespace {
 
 // The stored payload is the ANSWER, not the raw chunks: cells outside the

@@ -122,6 +122,11 @@ class ResultCache : public CacheListener {
   /// probe plus a hit or miss.
   bool Probe(const ResultCacheKey& key, std::vector<ChunkData>* out);
 
+  /// True when an answer for `key` is cached. Read-only: counts no probe,
+  /// hit or miss and leaves the entry's clock value alone, so EXPLAIN can
+  /// ask without disturbing replacement or the stats.
+  bool Contains(const ResultCacheKey& key) const;
+
   /// Cost-based admission of a finished answer: `cost_tuples` is what
   /// recomputing it would cost (tuples folded plus backend scan-tuple
   /// equivalents). Rejects answers below the cost bar or over the size cap;

@@ -89,12 +89,62 @@ QueryEngine::QueryEngine(const ChunkGrid* grid, ChunkCache* cache,
   }
 }
 
+int64_t QueryPlan::Count(ChunkRoute route) const {
+  return std::count_if(
+      chunks.begin(), chunks.end(),
+      [route](const RoutedChunk& c) { return c.route == route; });
+}
+
+QueryPlan QueryEngine::Plan(GroupById gb, const std::vector<ChunkId>& chunks) {
+  QueryPlan plan;
+  // Degraded mode: with the breaker not closed, the backend is presumed
+  // unreachable — every cache-computable chunk must be answered from the
+  // cache, so the cost-based bypass (moot without a backend) is suspended.
+  CircuitBreaker* breaker = circuit_breaker();
+  plan.backend_trusted =
+      breaker == nullptr || breaker->state() == BreakerState::kClosed;
+
+  // Probe the strategy for every chunk.
+  plan.chunks.reserve(chunks.size());
+  bool backend_needed = false;
+  for (ChunkId chunk : chunks) {
+    std::unique_ptr<PlanNode> node = strategy_->FindPlan(gb, chunk);
+    ChunkRoute route = ChunkRoute::kMissing;
+    if (node == nullptr) {
+      backend_needed = true;
+    } else {
+      route = node->cached ? ChunkRoute::kDirect : ChunkRoute::kAggregate;
+    }
+    plan.chunks.push_back({chunk, route, std::move(node)});
+  }
+
+  // Cost-based bypass (paper Section 5.2): a computable chunk whose
+  // estimated aggregation time exceeds the backend's marginal cost joins
+  // the backend query instead. The per-query fixed overhead is charged to
+  // the first bypassed chunk only when no chunk is missing anyway.
+  if (config_.cost_based_bypass && plan.backend_trusted) {
+    for (QueryPlan::RoutedChunk& c : plan.chunks) {
+      if (c.route != ChunkRoute::kAggregate) continue;
+      const double cache_ns =
+          c.node->estimated_cost * config_.cache_aggregation_ns_per_tuple;
+      double backend_ns = static_cast<double>(
+          backend_->EstimateMarginalChunkCostNanos(gb, c.chunk));
+      if (!backend_needed) {
+        backend_ns += static_cast<double>(
+            backend_->cost_model().fixed_query_overhead_ns);
+      }
+      if (backend_ns < cache_ns) {
+        c.route = ChunkRoute::kBypassed;
+        backend_needed = true;
+      }
+    }
+  }
+  return plan;
+}
+
 std::string QueryEngine::ExplainQuery(const Query& query) {
   const GroupById gb = grid_->lattice().IdOf(query.level);
   const std::vector<ChunkId> chunks = ChunksForQuery(*grid_, query);
-  CircuitBreaker* breaker = circuit_breaker();
-  const bool backend_trusted =
-      breaker == nullptr || breaker->state() == BreakerState::kClosed;
   std::string out = "query ";
   out += query.ToString(grid_->schema());
   out += " -> ";
@@ -104,47 +154,55 @@ std::string QueryEngine::ExplainQuery(const Query& query) {
   out += " [strategy: ";
   out += strategy_->name();
   out += "]";
-  if (!backend_trusted) {
+  // Execution probes the result cache before planning, and a hit does no
+  // chunk work at all — so neither does EXPLAIN.
+  if (result_cache_ != nullptr &&
+      result_cache_->Contains(CanonicalResultKey(grid_->schema(), query))) {
+    out += "\n  result cache hit -> whole answer, no chunk work\n";
+    return out;
+  }
+  const QueryPlan plan = Plan(gb, chunks);
+  if (!plan.backend_trusted) {
     out += " [breaker: ";
-    out += BreakerStateName(breaker->state());
+    out += BreakerStateName(circuit_breaker()->state());
     out += " — cache-only]";
   }
   out += "\n";
-  for (ChunkId chunk : chunks) {
-    std::unique_ptr<PlanNode> plan = strategy_->FindPlan(gb, chunk);
+  // Bypassed and missing chunks go to the warm tier first (execution
+  // probes it for every such chunk, breaker open or not), then the backend.
+  auto serving_tier = [&](ChunkId chunk) {
+    if (warm_tier_ != nullptr && warm_tier_->Contains(CacheKey{gb, chunk})) {
+      return "warm tier (promote)\n";
+    }
+    return plan.backend_trusted ? "backend\n" : "UNAVAILABLE\n";
+  };
+  for (const QueryPlan::RoutedChunk& c : plan.chunks) {
     out += "  chunk ";
-    out += std::to_string(chunk);
+    out += std::to_string(c.chunk);
     out += ": ";
-    if (plan == nullptr) {
-      if (warm_tier_ != nullptr && warm_tier_->Contains(CacheKey{gb, chunk})) {
-        out += "MISS -> warm tier (promote)\n";
-      } else {
-        out += backend_trusted ? "MISS -> backend\n" : "MISS -> UNAVAILABLE\n";
-      }
-      continue;
-    }
-    if (plan->cached) {
-      out += "direct cache hit\n";
-      continue;
-    }
-    if (config_.cost_based_bypass && backend_trusted) {
-      const double cache_ns =
-          plan->estimated_cost * config_.cache_aggregation_ns_per_tuple;
-      const double backend_ns = static_cast<double>(
-          backend_->EstimateMarginalChunkCostNanos(gb, chunk));
-      if (backend_ns < cache_ns) {
+    switch (c.route) {
+      case ChunkRoute::kDirect:
+        out += "direct cache hit\n";
+        break;
+      case ChunkRoute::kAggregate:
+        out += "aggregate ";
+        out += std::to_string(c.node->LeafCount());
+        out += " cached chunk(s), est ";
+        out += std::to_string(static_cast<int64_t>(c.node->estimated_cost));
+        out += " tuples:\n";
+        out += c.node->ToString(grid_->lattice(), /*indent=*/2);
+        break;
+      case ChunkRoute::kBypassed:
         out += "computable (est ";
-        out += std::to_string(static_cast<int64_t>(plan->estimated_cost));
-        out += " tuples) but BYPASSED -> backend\n";
-        continue;
-      }
+        out += std::to_string(static_cast<int64_t>(c.node->estimated_cost));
+        out += " tuples) but BYPASSED -> ";
+        out += serving_tier(c.chunk);
+        break;
+      case ChunkRoute::kMissing:
+        out += "MISS -> ";
+        out += serving_tier(c.chunk);
+        break;
     }
-    out += "aggregate ";
-    out += std::to_string(plan->LeafCount());
-    out += " cached chunk(s), est ";
-    out += std::to_string(static_cast<int64_t>(plan->estimated_cost));
-    out += " tuples:\n";
-    out += plan->ToString(grid_->lattice(), /*indent=*/2);
   }
   return out;
 }
@@ -243,6 +301,33 @@ std::vector<ChunkId> QueryEngine::FetchWithRetry(GroupById gb,
   return pending;
 }
 
+// What the stages after Plan hand to each other for one query.
+struct QueryEngine::ExecState {
+  GroupById gb;
+  bool backend_trusted;
+  ExecContext* ctx;
+  QueryStats& s;
+  QueryResult& result;
+  // Chunks the hot cache does not answer: misses, then bypassed chunks,
+  // then computable chunks whose inputs vanished before the read.
+  std::vector<ChunkId> missing{};
+  // (benefit, cached-group) per aggregated chunk, consumed by the update
+  // phase and the group-boost rule.
+  struct ComputedInfo {
+    size_t result_index;
+    int64_t tuples;
+    std::vector<CacheKey> group;
+  };
+  std::vector<ComputedInfo> computed{};
+  bool aborted = false;
+  std::vector<ChunkData> backend_results{};    // fetched by this query
+  std::vector<ChunkData> coalesced_results{};  // another query's fetch
+  int64_t admitted = 0;
+  // Scan-tuple equivalents of this query's backend work, part of the
+  // recompute cost a future result-cache hit would save.
+  double backend_cost_tuples = 0.0;
+};
+
 QueryResult QueryEngine::ExecuteQuery(const Query& query, QueryStats* stats) {
   return ExecuteQuery(query, /*ctx=*/nullptr, stats);
 }
@@ -273,7 +358,7 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     return result;
   }
 
-  // --- Result-cache probe: a canonical-key hit answers the whole query
+  // --- Probe: a canonical-key result-cache hit answers the whole query
   // from one stored fold, before any chunk-level work. The stored answer is
   // the same chunk-aligned representation a cold execution produces, so
   // RefineResult rows are bit-identical. ---
@@ -295,183 +380,162 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     s.lookup_ms += probe_timer.ElapsedMillis();
   }
 
-  // Degraded mode: with the breaker not closed, the backend is presumed
-  // unreachable — every cache-computable chunk must be answered from the
-  // cache, so the cost-based bypass (moot without a backend) is suspended.
-  CircuitBreaker* breaker = circuit_breaker();
-  const bool backend_trusted =
-      breaker == nullptr || breaker->state() == BreakerState::kClosed;
-
-  // --- Lookup phase: probe the strategy for every chunk. ---
+  // --- Plan, then the stages that carry it out (DESIGN.md §15). ---
   Stopwatch lookup_timer;
-  std::vector<std::unique_ptr<PlanNode>> plans;
-  std::vector<ChunkId> missing;
-  plans.reserve(chunks.size());
-  for (ChunkId chunk : chunks) {
-    std::unique_ptr<PlanNode> plan = strategy_->FindPlan(gb, chunk);
-    if (plan == nullptr) {
-      missing.push_back(chunk);
-    } else {
-      plans.push_back(std::move(plan));
-    }
-  }
-
-  // Cost-based bypass (paper Section 5.2): a computable chunk whose
-  // estimated aggregation time exceeds the backend's marginal cost joins
-  // the backend query instead. The per-query fixed overhead is charged to
-  // the first bypassed chunk only when no chunk is missing anyway.
-  if (config_.cost_based_bypass && backend_trusted) {
-    std::vector<std::unique_ptr<PlanNode>> kept;
-    kept.reserve(plans.size());
-    for (auto& plan : plans) {
-      if (plan->cached) {
-        kept.push_back(std::move(plan));
-        continue;
-      }
-      const double cache_ns =
-          plan->estimated_cost * config_.cache_aggregation_ns_per_tuple;
-      double backend_ns = static_cast<double>(
-          backend_->EstimateMarginalChunkCostNanos(gb, plan->key.chunk));
-      if (missing.empty()) {
-        backend_ns += static_cast<double>(
-            backend_->cost_model().fixed_query_overhead_ns);
-      }
-      if (backend_ns < cache_ns) {
-        missing.push_back(plan->key.chunk);
-        ++s.chunks_bypassed;
-      } else {
-        kept.push_back(std::move(plan));
-      }
-    }
-    plans = std::move(kept);
-  }
+  const QueryPlan plan = Plan(gb, chunks);
   s.lookup_ms += lookup_timer.ElapsedMillis();
+
+  ExecState st{gb, plan.backend_trusted, ctx, s, result};
+  ReadAndFold(plan, &st);
+  PromoteFromWarmTier(&st);
+  Fetch(&st);
+  AdmitChunks(&st);
+  Resolve(&st);
+  AdmitResult(result_key, &st);
+  return result;
+}
+
+void QueryEngine::ReadAndFold(const QueryPlan& plan, ExecState* st) {
+  QueryStats& s = st->s;
+  ExecContext* ctx = st->ctx;
+  // Misses first, then bypassed chunks: the order they reach the warm tier
+  // and the backend query in.
+  for (const QueryPlan::RoutedChunk& c : plan.chunks) {
+    if (c.route == ChunkRoute::kMissing) st->missing.push_back(c.chunk);
+  }
+  for (const QueryPlan::RoutedChunk& c : plan.chunks) {
+    if (c.route != ChunkRoute::kBypassed) continue;
+    st->missing.push_back(c.chunk);
+    ++s.chunks_bypassed;
+  }
 
   // --- Aggregation phase: answer cached/computable chunks. ---
   Stopwatch agg_timer;
-  std::vector<ChunkData>& results = result.chunks;
-  results.reserve(chunks.size());
-  // (benefit, cached-group) per aggregated chunk, consumed by the update
-  // phase and the group-boost rule.
-  struct ComputedInfo {
-    size_t result_index;
-    int64_t tuples;
-    std::vector<CacheKey> group;
-  };
-  std::vector<ComputedInfo> computed;
+  std::vector<ChunkData>& results = st->result.chunks;
+  results.reserve(plan.chunks.size());
   // Arm cooperative cancellation for the fold kernels: checkpoints fire
   // every few thousand cells, and an aborted fold emits nothing (pins
   // released by the executor, arena wiped by the aggregator) — the chunks
   // that WERE emitted before the abort are bit-identical to an uncancelled
   // run's.
-  bool aborted = false;
+  bool& aborted = st->aborted;
   aggregator_.set_exec_context(ctx);
   const int64_t agg_checks_before = aggregator_.cancel_checks();
-  for (const auto& plan : plans) {
+  for (const QueryPlan::RoutedChunk& c : plan.chunks) {
+    if (c.route != ChunkRoute::kDirect && c.route != ChunkRoute::kAggregate) {
+      continue;
+    }
+    const PlanNode& node = *c.node;
     if (!aborted) {
       ++s.cancel_checks;
       aborted = ctx->ShouldAbort();
     }
     if (aborted) {
       // Teardown: remaining chunks are neither computed nor fetched.
-      result.unavailable.push_back(plan->key.chunk);
+      st->result.unavailable.push_back(node.key.chunk);
       continue;
     }
-    if (plan->cached) {
+    if (node.cached) {
       ChunkData copy;
-      if (cache_->GetCopy(plan->key, &copy)) {
+      if (cache_->GetCopy(node.key, &copy)) {
         results.push_back(std::move(copy));
         ++s.chunks_direct;
       } else {
         // Plans are advisory under concurrency: the chunk was evicted
         // between the strategy probe and this read. Fall back to the
         // backend instead of aborting.
-        missing.push_back(plan->key.chunk);
+        st->missing.push_back(node.key.chunk);
       }
       continue;
     }
-    ExecutionResult exec = executor_.Execute(*plan);
+    ExecutionResult exec = executor_.Execute(node);
     if (exec.cancelled) {
       // Mid-fold abort. Do NOT reroute the chunk to the backend — the
       // query is being torn down, not rerouted.
       aborted = true;
-      result.unavailable.push_back(plan->key.chunk);
+      st->result.unavailable.push_back(node.key.chunk);
       continue;
     }
     if (!exec.ok) {
       // A planned input vanished mid-plan (concurrent eviction); the
       // executor released its pins and produced nothing for this chunk.
-      missing.push_back(plan->key.chunk);
+      st->missing.push_back(node.key.chunk);
       continue;
     }
     s.tuples_aggregated += exec.tuples_aggregated;
     s.fold_ns += exec.fold_ns;
     s.fold_lanes = std::max(s.fold_lanes, exec.fold_lanes);
-    computed.push_back(ComputedInfo{results.size(), exec.tuples_aggregated,
-                                    std::move(exec.cached_inputs)});
+    st->computed.push_back(ExecState::ComputedInfo{
+        results.size(), exec.tuples_aggregated, std::move(exec.cached_inputs)});
     results.push_back(std::move(exec.data));
     ++s.chunks_aggregated;
   }
   aggregator_.set_exec_context(nullptr);
   s.cancel_checks += aggregator_.cancel_checks() - agg_checks_before;
   s.aggregation_ms = agg_timer.ElapsedMillis();
+}
 
+void QueryEngine::PromoteFromWarmTier(ExecState* st) {
   // --- Warm-tier probe: chunks neither cached nor computable may still
   // live compressed in the warm tier or its disk spill. Hits are decoded
   // (single-flighted, off the hot shard locks) and promoted back into the
   // hot cache. This phase deliberately runs even when the breaker is open:
   // a dark backend degrades to warm-tier-carried service, not
   // unavailability. ---
-  if (warm_tier_ != nullptr && !missing.empty() && !aborted) {
-    Stopwatch promote_timer;
-    std::vector<ChunkId> still_missing;
-    still_missing.reserve(missing.size());
-    for (ChunkId chunk : missing) {
-      ++s.cancel_checks;
-      if (aborted || ctx->ShouldAbort()) {
-        // Teardown mid-phase: the rest stays missing and is reported
-        // unavailable by the aborted branch below.
-        aborted = true;
-        still_missing.push_back(chunk);
-        continue;
-      }
-      WarmProbeResult probe;
-      if (!warm_tier_->Probe(CacheKey{gb, chunk}, ctx, &probe)) {
-        still_missing.push_back(chunk);
-        continue;
-      }
-      s.decode_ms += static_cast<double>(probe.decode_ns) / 1e6;
-      if (probe.from_disk) {
-        ++s.chunks_disk;
-      } else {
-        ++s.chunks_warm;
-      }
-      // Promote: the hot insert's demotion hooks purge the warm/disk copy,
-      // so the chunk is resident in exactly one tier again.
-      cache_->Insert(probe.data, probe.info.benefit, probe.info.source);
-      results.push_back(std::move(probe.data));
+  if (warm_tier_ == nullptr || st->missing.empty() || st->aborted) return;
+  QueryStats& s = st->s;
+  Stopwatch promote_timer;
+  std::vector<ChunkId> still_missing;
+  still_missing.reserve(st->missing.size());
+  for (ChunkId chunk : st->missing) {
+    ++s.cancel_checks;
+    if (st->aborted || st->ctx->ShouldAbort()) {
+      // Teardown mid-phase: the rest stays missing and is reported
+      // unavailable by Fetch's aborted branch.
+      st->aborted = true;
+      still_missing.push_back(chunk);
+      continue;
     }
-    missing = std::move(still_missing);
-    s.aggregation_ms += promote_timer.ElapsedMillis();
+    WarmProbeResult probe;
+    if (!warm_tier_->Probe(CacheKey{st->gb, chunk}, st->ctx, &probe)) {
+      still_missing.push_back(chunk);
+      continue;
+    }
+    s.decode_ms += static_cast<double>(probe.decode_ns) / 1e6;
+    if (probe.from_disk) {
+      ++s.chunks_disk;
+    } else {
+      ++s.chunks_warm;
+    }
+    // Promote: the hot insert's demotion hooks purge the warm/disk copy,
+    // so the chunk is resident in exactly one tier again.
+    cache_->Insert(probe.data, probe.info.benefit, probe.info.source);
+    st->result.chunks.push_back(std::move(probe.data));
   }
+  st->missing = std::move(still_missing);
+  s.aggregation_ms += promote_timer.ElapsedMillis();
+}
 
+void QueryEngine::Fetch(ExecState* st) {
   // --- Backend phase: one SQL query for all missing chunks, retried with
   // backoff on failure; what cannot be fetched degrades instead of
   // aborting. ---
-  std::vector<ChunkData> backend_results;   // fetched by this query
-  std::vector<ChunkData> coalesced_results; // from another query's fetch
-  s.complete_hit = missing.empty() && !aborted;
-  if (aborted) {
+  QueryStats& s = st->s;
+  ExecContext* ctx = st->ctx;
+  const GroupById gb = st->gb;
+  std::vector<ChunkId>& missing = st->missing;
+  std::vector<ChunkId>& unavailable = st->result.unavailable;
+  s.complete_hit = missing.empty() && !st->aborted;
+  if (st->aborted) {
     // Torn down before the backend phase: missing chunks are unanswerable.
-    for (ChunkId chunk : missing) result.unavailable.push_back(chunk);
+    for (ChunkId chunk : missing) unavailable.push_back(chunk);
     missing.clear();
   }
   if (!missing.empty()) {
     if (single_flight_ == nullptr) {
-      std::vector<ChunkId> failed =
-          FetchWithRetry(gb, std::move(missing), &backend_results, ctx, &s);
-      result.unavailable.insert(result.unavailable.end(), failed.begin(),
-                                failed.end());
+      std::vector<ChunkId> failed = FetchWithRetry(
+          gb, std::move(missing), &st->backend_results, ctx, &s);
+      unavailable.insert(unavailable.end(), failed.begin(), failed.end());
     } else {
       // Single-flight: for each missing chunk either lead (this query will
       // fetch it and publish the result) or follow (another query's fetch
@@ -493,8 +557,8 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
       // is published (or failed) before this thread blocks, so two queries
       // leading/following each other's chunks cannot deadlock.
       std::vector<ChunkId> failed =
-          FetchWithRetry(gb, lead, &backend_results, ctx, &s);
-      for (const ChunkData& data : backend_results) {
+          FetchWithRetry(gb, lead, &st->backend_results, ctx, &s);
+      for (const ChunkData& data : st->backend_results) {
         single_flight_->Publish(CacheKey{gb, data.chunk}, data);
       }
       for (ChunkId chunk : failed) {
@@ -506,7 +570,7 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
         switch (single_flight_->AwaitWithDeadline(*slot, *ctx, &data)) {
           case SingleFlight::AwaitStatus::kOk:
             ++s.chunks_coalesced;
-            coalesced_results.push_back(std::move(data));
+            st->coalesced_results.push_back(std::move(data));
             break;
           case SingleFlight::AwaitStatus::kLeaderFailed:
             // The leader failed; its failure may have been breaker- or
@@ -523,32 +587,34 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
             break;
         }
       }
-      std::vector<ChunkId> still_failed =
-          FetchWithRetry(gb, std::move(retry_self), &backend_results, ctx, &s);
+      std::vector<ChunkId> still_failed = FetchWithRetry(
+          gb, std::move(retry_self), &st->backend_results, ctx, &s);
       failed.insert(failed.end(), still_failed.begin(), still_failed.end());
-      result.unavailable.insert(result.unavailable.end(), failed.begin(),
-                                failed.end());
+      unavailable.insert(unavailable.end(), failed.begin(), failed.end());
     }
-    s.chunks_backend =
-        static_cast<int64_t>(backend_results.size() + coalesced_results.size());
+    s.chunks_backend = static_cast<int64_t>(st->backend_results.size() +
+                                            st->coalesced_results.size());
   }
-  s.chunks_unavailable = static_cast<int64_t>(result.unavailable.size());
+  s.chunks_unavailable = static_cast<int64_t>(unavailable.size());
+}
 
+void QueryEngine::AdmitChunks(ExecState* st) {
   // --- Update phase: admit new chunks to the cache. This runs even for a
   // deadline-killed query — everything below was fully computed or fetched
   // before the abort, and trashing it would waste the work the query
   // already paid for (salvage: the aborted query still warms the cache for
   // its successors). ---
+  const GroupById gb = st->gb;
+  std::vector<ChunkData>& results = st->result.chunks;
   Stopwatch update_timer;
-  int64_t admitted = 0;
   if (config_.cache_computed_results || config_.boost_groups) {
-    for (const ComputedInfo& info : computed) {
+    for (const ExecState::ComputedInfo& info : st->computed) {
       const double benefit = benefit_->CacheComputedChunkBenefit(
           static_cast<double>(info.tuples));
       if (config_.cache_computed_results) {
         cache_->Insert(results[info.result_index], benefit,
                        ChunkSource::kCacheComputed);
-        ++admitted;
+        ++st->admitted;
       }
       if (config_.boost_groups) {
         const double boost = ReplacementPolicy::NormalizedWeight(benefit);
@@ -560,66 +626,76 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     // Only chunks this query fetched itself are inserted: for coalesced
     // chunks the leading query already inserted them, and re-inserting
     // would just churn the replacement state.
-    for (ChunkData& data : backend_results) {
+    for (ChunkData& data : st->backend_results) {
       const double benefit = benefit_->BackendChunkBenefit(gb, data.chunk);
       cache_->Insert(data, benefit, ChunkSource::kBackend);
-      ++admitted;
+      ++st->admitted;
     }
   }
-  s.update_ms = update_timer.ElapsedMillis();
+  st->s.update_ms = update_timer.ElapsedMillis();
 
-  // Scan-tuple equivalents of this query's backend work, part of the
-  // recompute cost a future result-cache hit would save; tallied before
-  // the fetched chunks are moved into the answer.
-  double backend_cost_tuples = 0.0;
+  // The backend share of the result's recompute cost is tallied before the
+  // fetched chunks are moved into the answer.
   if (result_cache_ != nullptr) {
-    for (const ChunkData& data : backend_results) {
-      backend_cost_tuples += benefit_->BackendRecomputeTuples(gb, data.chunk);
+    for (const ChunkData& data : st->backend_results) {
+      st->backend_cost_tuples +=
+          benefit_->BackendRecomputeTuples(gb, data.chunk);
     }
-    for (const ChunkData& data : coalesced_results) {
-      backend_cost_tuples += benefit_->BackendRecomputeTuples(gb, data.chunk);
+    for (const ChunkData& data : st->coalesced_results) {
+      st->backend_cost_tuples +=
+          benefit_->BackendRecomputeTuples(gb, data.chunk);
     }
   }
 
-  for (ChunkData& data : backend_results) results.push_back(std::move(data));
-  for (ChunkData& data : coalesced_results) results.push_back(std::move(data));
+  for (ChunkData& data : st->backend_results) {
+    results.push_back(std::move(data));
+  }
+  for (ChunkData& data : st->coalesced_results) {
+    results.push_back(std::move(data));
+  }
+}
 
+void QueryEngine::Resolve(ExecState* st) {
   // A query that finished all its work but past its deadline still reports
   // kDeadlineExceeded — the caller's goodput accounting needs the truth
   // even when every chunk is attached.
+  QueryStats& s = st->s;
   ++s.cancel_checks;
   const bool deadline_hit =
-      aborted || ctx->ShouldAbort() ||
+      st->aborted || st->ctx->ShouldAbort() ||
       s.fetch_abort == FetchAbortReason::kDeadlineExceeded ||
       s.fetch_abort == FetchAbortReason::kCancelled;
   if (deadline_hit) {
-    s.salvaged_chunks = admitted;
+    s.salvaged_chunks = st->admitted;
     s.complete_hit = false;
     s.status = ResultStatus::kDeadlineExceeded;
-  } else if (!result.unavailable.empty()) {
+  } else if (!st->result.unavailable.empty()) {
     s.status = ResultStatus::kDegradedPartial;
-  } else if (s.fetch_abort != FetchAbortReason::kNone || !backend_trusted) {
+  } else if (s.fetch_abort != FetchAbortReason::kNone || !st->backend_trusted) {
     s.status = ResultStatus::kDegradedComplete;
   } else {
     s.status = ResultStatus::kOk;
   }
-  result.status = s.status;
+  st->result.status = s.status;
+}
 
+void QueryEngine::AdmitResult(const ResultCacheKey& key, ExecState* st) {
   // --- Result-cache admission: only a clean, complete, healthy answer may
   // become a cached result (a degraded or salvaged answer could be partial
   // or built over a breaker-open view). The admission itself is cost-based
   // inside MaybeAdmit: the recompute cost is the fold work plus the
   // backend scan work a future hit avoids. ---
-  if (result_cache_ != nullptr && s.status == ResultStatus::kOk &&
-      result.unavailable.empty()) {
-    Stopwatch admit_timer;
-    const double recompute_cost =
-        static_cast<double>(s.tuples_aggregated) + backend_cost_tuples;
-    s.result_cache_admitted =
-        result_cache_->MaybeAdmit(result_key, gb, result.chunks, recompute_cost);
-    s.update_ms += admit_timer.ElapsedMillis();
+  QueryStats& s = st->s;
+  if (result_cache_ == nullptr || s.status != ResultStatus::kOk ||
+      !st->result.unavailable.empty()) {
+    return;
   }
-  return result;
+  Stopwatch admit_timer;
+  const double recompute_cost =
+      static_cast<double>(s.tuples_aggregated) + st->backend_cost_tuples;
+  s.result_cache_admitted =
+      result_cache_->MaybeAdmit(key, st->gb, st->result.chunks, recompute_cost);
+  s.update_ms += admit_timer.ElapsedMillis();
 }
 
 }  // namespace aac

@@ -44,9 +44,7 @@ enum class ResultStatus {
 const char* ResultStatusName(ResultStatus status);
 
 /// Why the backend phase of a query stopped before answering every pending
-/// chunk (kNone: it didn't stop early). The first cause to fire wins; the
-/// old single `backend_exhausted` bool conflated all of these, which made
-/// shed-vs-breaker-vs-timeout invisible to callers and stats.
+/// chunk (kNone: it didn't stop early). The first cause to fire wins.
 enum class FetchAbortReason {
   kNone,
   kBreakerOpen,           // breaker refused up front; backend never contacted
@@ -85,20 +83,18 @@ struct QueryStats {
   // Fault-path accounting.
   int64_t backend_attempts = 0;  // backend calls issued for this query
   int64_t backend_retries = 0;   // attempts beyond the first
-  /// Why the backend phase stopped early, if it did. Replaces the old
-  /// `backend_rejected`/`backend_exhausted` bool pair with the precise
-  /// cause; the accessors below preserve the old two-way split.
+  /// Why the backend phase stopped early, if it did; the accessors below
+  /// give the coarse two-way split.
   FetchAbortReason fetch_abort = FetchAbortReason::kNone;
   ResultStatus status = ResultStatus::kOk;
 
-  /// Breaker was open up front: backend never contacted (old
-  /// `backend_rejected`).
+  /// Breaker was open up front: backend never contacted.
   bool backend_rejected() const {
     return fetch_abort == FetchAbortReason::kBreakerOpen;
   }
-  /// Backend was contacted but the fetch loop gave up mid-query (old
-  /// `backend_exhausted`): retries/budget exhausted, breaker tripped, or
-  /// the query's own deadline/cancel fired during the backend phase.
+  /// Backend was contacted but the fetch loop gave up mid-query:
+  /// retries/budget exhausted, breaker tripped, or the query's own
+  /// deadline/cancel fired during the backend phase.
   bool backend_exhausted() const {
     return fetch_abort != FetchAbortReason::kNone &&
            fetch_abort != FetchAbortReason::kBreakerOpen;
@@ -157,6 +153,38 @@ struct QueryResult {
   bool complete() const { return unavailable.empty(); }
 };
 
+/// How the engine answers one requested chunk. Decided once per query by
+/// the engine's Plan stage; execution and EXPLAIN both read the same
+/// decision.
+enum class ChunkRoute {
+  kDirect,     // cached as-is: a direct read
+  kAggregate,  // computable by folding cached chunks
+  kBypassed,   // computable, but the cost-based optimizer chose the backend
+  kMissing,    // neither cached nor computable from the cache
+};
+
+/// One query's routing: a route per requested chunk, in request order.
+/// Bypassed and missing chunks are answered past the hot cache — by the
+/// warm/disk tier when it holds them, else by the backend, else (backend
+/// untrusted) not at all.
+struct QueryPlan {
+  struct RoutedChunk {
+    ChunkId chunk = 0;
+    ChunkRoute route = ChunkRoute::kMissing;
+    /// The strategy's plan (direct leaf or aggregation tree); kept for a
+    /// bypassed chunk so EXPLAIN can show its estimate. Null when missing.
+    std::unique_ptr<PlanNode> node;
+  };
+
+  /// Breaker closed (or absent) when planned. While false the bypass is
+  /// suspended: the backend is presumed unreachable.
+  bool backend_trusted = true;
+  std::vector<RoutedChunk> chunks;
+
+  /// Number of chunks planned on `route`.
+  int64_t Count(ChunkRoute route) const;
+};
+
 /// The middle tier: answers chunked multi-dimensional queries from an
 /// aggregate-aware cache, falling back to the backend for missing chunks.
 ///
@@ -164,7 +192,10 @@ struct QueryResult {
 /// lookup strategy for each chunk; answer what is cached or computable by
 /// aggregation; fetch all missing chunks with a single backend query; then
 /// insert the newly obtained chunks into the cache under the configured
-/// policy rules.
+/// policy rules. In code that is a pipeline of stages (DESIGN.md §15):
+/// Probe (result cache) -> Plan -> Execute -> Admit -> Resolve.
+/// Plan is the one routing decision; ExplainQuery renders it instead of
+/// re-deriving it.
 ///
 /// The backend is treated as fallible: failed calls are retried under
 /// `Config::retry`, repeated failures trip the optional circuit breaker,
@@ -232,11 +263,20 @@ class QueryEngine {
   QueryResult ExecuteQuery(const Query& query, ExecContext* ctx,
                            QueryStats* stats);
 
-  /// EXPLAIN: describes how `query` *would* be answered right now — per
-  /// chunk, the route (direct hit / aggregation / backend / bypass) and
-  /// the aggregation plan — without executing anything or touching cache
-  /// state beyond the strategy probes.
+  /// EXPLAIN: describes how `query` *would* be answered right now. A
+  /// result-cache hit is reported as such (no chunk work follows it).
+  /// Otherwise it renders the Plan stage's decision per chunk: direct hit,
+  /// aggregation (with the plan tree), or bypassed/missing together with
+  /// the tier that would serve it (warm/disk, backend, or UNAVAILABLE).
+  /// No side effects beyond the strategy probes: the result-cache and
+  /// warm-tier lookups touch no counters or replacement state.
   std::string ExplainQuery(const Query& query);
+
+  /// The Plan stage: probes the strategy for every chunk of group-by `gb`
+  /// and applies the cost-based bypass, giving the routes ExecuteQuery
+  /// takes when the result cache does not answer the query. The only place
+  /// the engine decides routes; its side effects are the strategy probes.
+  QueryPlan Plan(GroupById gb, const std::vector<ChunkId>& chunks);
 
   LookupStrategy* strategy() { return strategy_; }
   const Config& config() const { return config_; }
@@ -319,6 +359,23 @@ class QueryEngine {
   Aggregator& mutable_aggregator() { return aggregator_; }
 
  private:
+  /// Per-query state the stages after Plan hand to each other.
+  struct ExecState;
+
+  // Execute stage, in order: answer direct and aggregate routes from the
+  // hot cache, promote what the warm/disk tier holds, fetch the rest.
+  void ReadAndFold(const QueryPlan& plan, ExecState* st);
+  void PromoteFromWarmTier(ExecState* st);
+  void Fetch(ExecState* st);
+
+  // Admit stage: chunk admission (salvage included) runs before Resolve,
+  // result admission after it, since only a kOk answer may be cached.
+  void AdmitChunks(ExecState* st);
+  void AdmitResult(const ResultCacheKey& key, ExecState* st);
+
+  /// Resolve stage: the final status.
+  void Resolve(ExecState* st);
+
   /// Fetches `missing` chunks with retry/backoff under the breaker and the
   /// query's deadline (backoff sleeps are clamped to the remaining budget
   /// and the loop aborts, typed, once the deadline fires). Successfully

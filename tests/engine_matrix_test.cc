@@ -39,11 +39,20 @@ TEST_P(EngineMatrixTest, AnswersMatchGroundTruth) {
   stream_config.seed = 31;
   QueryStreamGenerator gen(&exp.schema(), stream_config);
   for (const QueryStreamEntry& entry : gen.Generate()) {
-    std::vector<ChunkData> got =
-        exp.engine().ExecuteQuery(entry.query, nullptr).chunks;
+    // The plan EXPLAIN renders is the route execution takes.
     const GroupById gb = exp.lattice().IdOf(entry.query.level);
-    std::vector<ChunkData> want = oracle.ExecuteChunkQuery(
-        gb, ChunksForQuery(exp.grid(), entry.query)).chunks;
+    const std::vector<ChunkId> chunks = ChunksForQuery(exp.grid(), entry.query);
+    const QueryPlan plan = exp.engine().Plan(gb, chunks);
+    QueryStats stats;
+    std::vector<ChunkData> got =
+        exp.engine().ExecuteQuery(entry.query, &stats).chunks;
+    EXPECT_EQ(plan.Count(ChunkRoute::kDirect), stats.chunks_direct);
+    EXPECT_EQ(plan.Count(ChunkRoute::kAggregate), stats.chunks_aggregated);
+    EXPECT_EQ(plan.Count(ChunkRoute::kBypassed), stats.chunks_bypassed);
+    EXPECT_EQ(plan.Count(ChunkRoute::kMissing) +
+                  plan.Count(ChunkRoute::kBypassed),
+              stats.chunks_backend);
+    std::vector<ChunkData> want = oracle.ExecuteChunkQuery(gb, chunks).chunks;
     ASSERT_EQ(got.size(), want.size());
     auto by_chunk = [](const ChunkData& a, const ChunkData& b) {
       return a.chunk < b.chunk;

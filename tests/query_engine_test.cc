@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "cache/result_cache.h"
 #include "core/no_aggregation.h"
 #include "core/query_engine.h"
 #include "core/vcmc.h"
@@ -54,6 +56,16 @@ class QueryEngineTest : public ::testing::Test {
   std::unique_ptr<VcmcStrategy> strategy_;
   std::unique_ptr<QueryEngine> engine_;
 };
+
+// Occurrences of `needle` in `haystack` (EXPLAIN route lines per chunk).
+int64_t CountOf(const std::string& haystack, const std::string& needle) {
+  int64_t n = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
 
 TEST_F(QueryEngineTest, ColdQueryGoesToBackend) {
   Query q = Query::WholeLevel(env_.schema(), LevelVector{1, 1});
@@ -234,9 +246,92 @@ TEST_F(QueryEngineTest, ExplainShowsBypassDecision) {
   Reset(MakeSmallCube(), kBigCache, config);
   Query base_q = Query::WholeLevel(env_.schema(), env_.schema().base_level());
   engine_->ExecuteQuery(base_q, nullptr);
-  std::string out =
-      engine_->ExplainQuery(Query::WholeLevel(env_.schema(), LevelVector{0, 0}));
+  Query top = Query::WholeLevel(env_.schema(), LevelVector{0, 0});
+  std::string out = engine_->ExplainQuery(top);
   EXPECT_NE(out.find("BYPASSED"), std::string::npos);
+  // Execution takes the route EXPLAIN printed.
+  QueryStats stats;
+  engine_->ExecuteQuery(top, &stats);
+  EXPECT_EQ(CountOf(out, "BYPASSED -> backend"), stats.chunks_bypassed) << out;
+  EXPECT_EQ(stats.chunks_backend, stats.chunks_bypassed);
+}
+
+// With no chunk missing, bypassing would make the backend pay its fixed
+// per-query overhead too; at this aggregation rate that tips the decision
+// back to the cache. EXPLAIN must reach the same verdict as execution.
+TEST_F(QueryEngineTest, ExplainBypassAgreesWithExecution) {
+  QueryEngine::Config config;
+  config.cost_based_bypass = true;
+  config.cache_aggregation_ns_per_tuple = 1e4;
+  Reset(MakeSmallCube(), kBigCache, config);
+  Query base_q = Query::WholeLevel(env_.schema(), env_.schema().base_level());
+  engine_->ExecuteQuery(base_q, nullptr);
+
+  Query top = Query::WholeLevel(env_.schema(), LevelVector{0, 0});
+  const std::string out = engine_->ExplainQuery(top);
+  QueryStats stats;
+  engine_->ExecuteQuery(top, &stats);
+  EXPECT_EQ(stats.chunks_aggregated, 1);
+  EXPECT_EQ(stats.chunks_bypassed, 0);
+  EXPECT_NE(out.find("aggregate"), std::string::npos) << out;
+  EXPECT_EQ(out.find("BYPASSED"), std::string::npos) << out;
+}
+
+// A query the result cache would answer is explained as a result-cache hit,
+// and asking does not count as a probe or touch replacement state.
+TEST_F(QueryEngineTest, ExplainReportsResultCacheHitWithoutSideEffects) {
+  ResultCache results{ResultCache::Config()};
+  engine_->set_result_cache(&results);
+  Query q = Query::WholeLevel(env_.schema(), LevelVector{1, 1});
+  QueryStats first;
+  engine_->ExecuteQuery(q, &first);
+  ASSERT_TRUE(first.result_cache_admitted);
+
+  const ResultCacheStats before = results.stats();
+  const std::string out = engine_->ExplainQuery(q);
+  const ResultCacheStats after = results.stats();
+  EXPECT_NE(out.find("result cache hit"), std::string::npos) << out;
+  EXPECT_EQ(out.find("direct cache hit"), std::string::npos) << out;
+  EXPECT_EQ(before.probes, after.probes);
+  EXPECT_EQ(before.hits, after.hits);
+  EXPECT_EQ(before.misses, after.misses);
+  EXPECT_EQ(before.admitted, after.admitted);
+  EXPECT_EQ(before.rejected, after.rejected);
+  EXPECT_EQ(before.evictions, after.evictions);
+  EXPECT_EQ(before.invalidated, after.invalidated);
+
+  QueryStats second;
+  engine_->ExecuteQuery(q, &second);
+  EXPECT_TRUE(second.result_cache_hit);
+}
+
+// Breaker open: chunks the cache cannot answer are explained as
+// UNAVAILABLE, one line per chunk execution then reports unavailable.
+TEST_F(QueryEngineTest, ExplainBreakerOpenMatchesUnavailableChunks) {
+  QueryEngine::Config config;
+  config.circuit_breaker = true;
+  config.cost_based_bypass = true;  // suspended while the breaker is open
+  Reset(MakeSmallCube(), kBigCache, config);
+  Query half;
+  half.level = env_.schema().base_level();
+  half.ranges[0] = {0, 6};  // product chunks 0,1 of 4
+  half.ranges[1] = {0, 8};  // all time
+  engine_->ExecuteQuery(half, nullptr);
+  CircuitBreaker* breaker = engine_->circuit_breaker();
+  for (int i = 0; i < config.breaker.failure_threshold; ++i) {
+    breaker->RecordFailure();
+  }
+  ASSERT_EQ(breaker->state(), BreakerState::kOpen);
+
+  Query whole = Query::WholeLevel(env_.schema(), env_.schema().base_level());
+  const std::string out = engine_->ExplainQuery(whole);
+  QueryStats stats;
+  engine_->ExecuteQuery(whole, &stats);
+  EXPECT_EQ(stats.status, ResultStatus::kDegradedPartial);
+  EXPECT_EQ(stats.chunks_unavailable, 4);
+  EXPECT_EQ(CountOf(out, "MISS -> UNAVAILABLE"), stats.chunks_unavailable)
+      << out;
+  EXPECT_EQ(CountOf(out, "direct cache hit"), stats.chunks_direct) << out;
 }
 
 TEST_F(QueryEngineTest, SmallCacheStillAnswersCorrectly) {

@@ -451,6 +451,16 @@ TEST(TieredCacheTest, ExplainShowsWarmPromotion) {
                                     t.env.lattice().LevelOf(base));
   const std::string plan = engine.ExplainQuery(q);
   EXPECT_NE(plan.find("warm tier"), std::string::npos) << plan;
+
+  // One warm-tier line per chunk execution then promotes.
+  int64_t warm_routes = 0;
+  for (size_t at = plan.find("warm tier"); at != std::string::npos;
+       at = plan.find("warm tier", at + 1)) {
+    ++warm_routes;
+  }
+  QueryStats stats;
+  engine.ExecuteQuery(q, &stats);
+  EXPECT_EQ(warm_routes, stats.chunks_warm + stats.chunks_disk) << plan;
 }
 
 // The satellite-4 race, run under TSan via the "tiered"+"concurrency"

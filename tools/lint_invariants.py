@@ -54,6 +54,15 @@ it enforces the invariants that keep the clang gate meaningful:
       order, fails this linter even on machines that never run an
       AAC_LOCKDEP build — the rank table only means something if it is
       total.
+  R9  Query routing is decided in one place: calls to FindPlan( and
+      EstimateMarginalChunkCostNanos(, and reads of fixed_query_overhead_ns,
+      appear in src/ only inside QueryEngine::Plan (src/core/query_engine.cc).
+      Execution and EXPLAIN both consume that stage's plan, so a second
+      probe or bypass computation anywhere else is a second routing
+      procedure that can drift. Strategy implementations (they define and
+      recurse through FindPlan), src/backend/ (it defines the cost model and
+      the estimate) and workload/experiment.cc's benefit-model overhead read
+      are allow-listed.
 
 Exit status 0 with no output (beyond the summary) when clean; 1 with one
 line per finding otherwise.
@@ -581,6 +590,75 @@ def check_lock_ranks():
                     "place in the global order (src/util/lockdep.h)")
 
 
+# --------------------------------------------------------------------------
+# R9: query routing confined to the engine's Plan stage.
+# --------------------------------------------------------------------------
+
+ROUTING_ENGINE = REPO / "src" / "core" / "query_engine.cc"
+ROUTING_STAGE = re.compile(r"\bQueryEngine::Plan\s*\(")
+# A file that declares or implements a lookup strategy may call FindPlan.
+STRATEGY_IMPL = re.compile(
+    r"\bclass\s+LookupStrategy\b|\bpublic\s+LookupStrategy\b"
+    r"|\b\w+::FindPlan\s*\("
+)
+
+# (token, what, allowed(rel_path, file_text)) — outside the Plan stage a
+# token is a finding unless its file is allow-listed.
+ROUTING_TOKENS = [
+    (re.compile(r"\bFindPlan\s*\("), "FindPlan call",
+     lambda rel, text: STRATEGY_IMPL.search(text) is not None),
+    (re.compile(r"\bEstimateMarginalChunkCostNanos\s*\("),
+     "EstimateMarginalChunkCostNanos call",
+     lambda rel, text: rel.startswith("src/backend/")),
+    (re.compile(r"\bfixed_query_overhead_ns\b"), "fixed_query_overhead_ns read",
+     lambda rel, text: rel.startswith("src/backend/")
+     or rel == "src/workload/experiment.cc"),
+]
+
+
+def plan_stage_lines():
+    """Line numbers of QueryEngine::Plan's definition, signature through the
+    closing brace; empty when the definition is missing."""
+    lines = set()
+    if not ROUTING_ENGINE.exists():
+        return lines
+    depth = 0
+    for lineno, code in source_lines(ROUTING_ENGINE):
+        if not lines and (not ROUTING_STAGE.search(code)
+                          or code.rstrip().endswith(";")):
+            continue
+        lines.add(lineno)
+        depth += code.count("{") - code.count("}")
+        if depth == 0 and "}" in code:
+            break
+    return lines
+
+
+def check_routing_confined():
+    stage = plan_stage_lines()
+    if not stage:
+        finding(ROUTING_ENGINE, 1, "R9-routing",
+                "QueryEngine::Plan definition not found — routing must live "
+                "in one Plan stage")
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".h", ".cc"):
+            continue
+        rel = str(path.relative_to(REPO))
+        code_lines = list(source_lines(path))
+        text = "\n".join(code for _, code in code_lines)
+        for lineno, code in code_lines:
+            if path == ROUTING_ENGINE and lineno in stage:
+                continue
+            for pattern, what, allowed in ROUTING_TOKENS:
+                if pattern.search(code) and not allowed(rel, text):
+                    finding(
+                        path, lineno, "R9-routing",
+                        f"{what} outside QueryEngine::Plan — routes are "
+                        "decided once, in the Plan stage; consume its "
+                        "QueryPlan instead of re-deriving them",
+                    )
+
+
 def main():
     check_raw_locks()
     check_annotation_table()
@@ -590,6 +668,7 @@ def main():
     check_raw_sleeps()
     check_intrinsics_confined()
     check_lock_ranks()
+    check_routing_confined()
     if findings:
         for line in findings:
             print(line)
