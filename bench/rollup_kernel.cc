@@ -10,20 +10,16 @@
 // Cases: dense multi-level rollups (uniform and non-uniform hierarchies),
 // a sparse rollup into a large mostly-empty chunk, and a 1..8 source-span
 // sweep. On top of the old-vs-new comparison, every case also measures the
-// forced scalar vs forced vector fold kernel (the SIMD dispatch seam) and a
-// 1/2/4/8-morsel-lane sweep through a MorselPool — all variants are checked
-// bit-identical against each other, always. Results (ns/tuple and speedups)
+// forced scalar vs forced vector fold kernel (the SIMD dispatch seam) — all
+// variants are checked bit-identical against each other, always. Results
+// (ns/tuple and speedups)
 // are printed and written to BENCH_rollup.json (override with --out PATH;
 // AAC_BENCH_ROLLUP_REPS rescales). --smoke runs tiny sizes, verifies the
 // identities, additionally asserts the vector kernel beats scalar by >= 1.5x
 // on the best dense case (skipped — not failed — without AVX2 or under a
 // sanitizer, where instrumentation swamps the kernel), and writes no file
 // unless --out is given — tools/check.sh kernel-simd and bench-smoke run
-// exactly that.
-//
-// Caveat for committed numbers: on a single-core container the morsel-lane
-// columns measure oversubscription (lanes time-slice one core), not
-// scaling; the JSON records hardware_concurrency so readers can tell.
+// exactly that. The JSON records hardware_concurrency next to the numbers.
 
 #include <algorithm>
 #include <array>
@@ -45,7 +41,6 @@
 #include "storage/aggregator.h"
 #include "storage/chunk_data.h"
 #include "storage/fold_kernel.h"
-#include "storage/morsel_pool.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -257,9 +252,6 @@ std::vector<std::span<const Cell>> AsSpans(
   return out;
 }
 
-// Morsel-lane sweep points (lane 1 = serial, lane N = caller + N-1 helpers).
-constexpr std::array<int, 4> kLaneSweep = {1, 2, 4, 8};
-
 struct CaseResult {
   std::string name;
   std::string path;  // "dense" or "sparse" (which fold path the case hits)
@@ -278,13 +270,6 @@ struct CaseResult {
   double vector_ns_per_tuple = 0.0;
   double simd_speedup = 0.0;
   bool simd_identical = false;
-
-  // Morsel-lane sweep (default kernel): ns/tuple at 1/2/4/8 lanes. Lanes
-  // only engage on the dense path; sparse cases report serial numbers for
-  // every column.
-  std::array<double, kLaneSweep.size()> lane_ns_per_tuple{};
-  std::array<int, kLaneSweep.size()> lanes_used{};
-  bool morsel_identical = false;
 };
 
 double MedianNanos(std::vector<int64_t>& samples) {
@@ -348,31 +333,6 @@ CaseResult RunCase(const std::string& name, const Cube& cube, GroupById from,
   res.vector_ns_per_tuple = time_kernel(FoldKernelKind::kVector, &vector_out);
   res.simd_speedup = res.scalar_ns_per_tuple / res.vector_ns_per_tuple;
   res.simd_identical = ChunkDataEquals(nd, &scalar_out, &vector_out, 0.0);
-
-  // Morsel-lane sweep (default kernel, thresholds lowered so every dense
-  // fold is eligible; sparse folds simply never consult the pool).
-  res.morsel_identical = true;
-  for (size_t li = 0; li < kLaneSweep.size(); ++li) {
-    const int lanes = kLaneSweep[li];
-    std::unique_ptr<MorselPool> pool;
-    Aggregator lane_agg(cube.grid.get());
-    if (lanes > 1) {
-      pool = std::make_unique<MorselPool>(lanes - 1);
-      lane_agg.set_morsel_pool(pool.get());
-      lane_agg.set_morsel_min_cells(1);
-    }
-    ChunkData lane_out;
-    std::vector<int64_t> ns;
-    for (int r = 0; r < reps + 1; ++r) {
-      Stopwatch sw;
-      lane_out = lane_agg.AggregateSpans(from, views, to, chunk);
-      if (r > 0) ns.push_back(sw.ElapsedNanos());
-    }
-    res.lane_ns_per_tuple[li] = MedianNanos(ns) / static_cast<double>(tuples);
-    res.lanes_used[li] = lane_agg.last_fold().morsel_lanes;
-    res.morsel_identical =
-        res.morsel_identical && ChunkDataEquals(nd, &lane_out, &new_out, 0.0);
-  }
   return res;
 }
 
@@ -458,8 +418,7 @@ int Main(int argc, char** argv) {
   // base chunk (64k cells, ~2 MB of fold states). The state array blows the
   // L1 budget, so the scalar kernel stalls on every scattered merge; the
   // vector kernel computes 8 offsets per batch and prefetches their states
-  // before merging, overlapping the misses — the case the SIMD seam is for
-  // (and the shape the morsel path splits across lanes in production).
+  // before merging, overlapping the misses — the case the SIMD seam is for.
   {
     Cube cube = MakeCube([] {
       std::vector<Dimension> dims;
@@ -517,8 +476,7 @@ int Main(int argc, char** argv) {
       "tuples", "cells", "old_ns/tup", "new_ns/tup", "speedup", "same");
   bool all_identical = true;
   for (const CaseResult& r : results) {
-    all_identical =
-        all_identical && r.identical && r.simd_identical && r.morsel_identical;
+    all_identical = all_identical && r.identical && r.simd_identical;
     std::printf("%-28s %-7s %6d %9lld %11lld %12.2f %12.2f %7.2fx %5s\n",
                 r.name.c_str(), r.path.c_str(), r.num_spans,
                 static_cast<long long>(r.tuples),
@@ -527,28 +485,21 @@ int Main(int argc, char** argv) {
   }
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
-  std::printf("\nkernel dispatch: default=%s, avx2=%s, hw_threads=%u%s\n",
+  std::printf("\nkernel dispatch: default=%s, avx2=%s, hw_threads=%u\n",
               FoldKernelName(DefaultFoldKernel()),
-              VectorFoldKernelSupported() ? "yes" : "no", hw_threads,
-              hw_threads <= 1 ? " (single core: morsel columns measure "
-                                "oversubscription, not scaling)"
-                              : "");
-  std::printf("%-28s %12s %12s %7s  %10s %10s %10s %10s %5s\n", "case",
-              "scalar_ns/t", "vector_ns/t", "simd_x", "1-lane", "2-lane",
-              "4-lane", "8-lane", "same");
+              VectorFoldKernelSupported() ? "yes" : "no", hw_threads);
+  std::printf("%-28s %12s %12s %7s %5s\n", "case", "scalar_ns/t",
+              "vector_ns/t", "simd_x", "same");
   for (const CaseResult& r : results) {
-    std::printf(
-        "%-28s %12.2f %12.2f %6.2fx  %10.2f %10.2f %10.2f %10.2f %5s\n",
-        r.name.c_str(), r.scalar_ns_per_tuple, r.vector_ns_per_tuple,
-        r.simd_speedup, r.lane_ns_per_tuple[0], r.lane_ns_per_tuple[1],
-        r.lane_ns_per_tuple[2], r.lane_ns_per_tuple[3],
-        r.simd_identical && r.morsel_identical ? "yes" : "NO");
+    std::printf("%-28s %12.2f %12.2f %6.2fx %5s\n", r.name.c_str(),
+                r.scalar_ns_per_tuple, r.vector_ns_per_tuple, r.simd_speedup,
+                r.simd_identical ? "yes" : "NO");
   }
 
   if (!all_identical) {
     std::fprintf(stderr,
                  "FAIL: kernel variants disagree on at least one case "
-                 "(old/new, scalar/vector, or morsel lanes)\n");
+                 "(old/new or scalar/vector)\n");
     return 1;
   }
 
@@ -597,11 +548,6 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "  \"avx2\": %s,\n",
                  VectorFoldKernelSupported() ? "true" : "false");
     std::fprintf(f, "  \"hardware_threads\": %u,\n", hw_threads);
-    if (hw_threads <= 1) {
-      std::fprintf(f,
-                   "  \"note\": \"single-core host: morsel-lane columns "
-                   "measure oversubscription, not scaling\",\n");
-    }
     std::fprintf(f, "  \"cases\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
       const CaseResult& r = results[i];
@@ -612,17 +558,13 @@ int Main(int argc, char** argv) {
           "\"old_ns_per_tuple\": %.2f, \"new_ns_per_tuple\": %.2f, "
           "\"speedup\": %.2f, \"identical\": %s,\n"
           "     \"scalar_ns_per_tuple\": %.2f, \"vector_ns_per_tuple\": %.2f, "
-          "\"simd_speedup\": %.2f, \"simd_identical\": %s,\n"
-          "     \"morsel_ns_per_tuple\": {\"1\": %.2f, \"2\": %.2f, "
-          "\"4\": %.2f, \"8\": %.2f}, \"morsel_identical\": %s}%s\n",
+          "\"simd_speedup\": %.2f, \"simd_identical\": %s}%s\n",
           r.name.c_str(), r.path.c_str(), r.num_spans,
           static_cast<long long>(r.tuples),
           static_cast<long long>(r.target_cells), r.old_ns_per_tuple,
           r.new_ns_per_tuple, r.speedup, r.identical ? "true" : "false",
           r.scalar_ns_per_tuple, r.vector_ns_per_tuple, r.simd_speedup,
-          r.simd_identical ? "true" : "false", r.lane_ns_per_tuple[0],
-          r.lane_ns_per_tuple[1], r.lane_ns_per_tuple[2],
-          r.lane_ns_per_tuple[3], r.morsel_identical ? "true" : "false",
+          r.simd_identical ? "true" : "false",
           i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -30,17 +30,7 @@ std::unique_ptr<QueryEngine> ConcurrentQueryEngine::Borrow() {
   if (shared_breaker_ != nullptr) engine->set_circuit_breaker(shared_breaker_);
   if (result_cache_ != nullptr) engine->set_result_cache(result_cache_);
   if (warm_tier_ != nullptr) engine->set_warm_tier(warm_tier_);
-  engine->set_morsel_pool(morsel_pool_.get());
   return engine;
-}
-
-void ConcurrentQueryEngine::ConfigureMorsels(int num_helpers) {
-  morsel_pool_ =
-      num_helpers > 0 ? std::make_unique<MorselPool>(num_helpers) : nullptr;
-  // Rewire any engines already sitting in the pool (new ones are wired in
-  // Borrow).
-  MutexLock lock(pool_mutex_);
-  for (auto& engine : idle_) engine->set_morsel_pool(morsel_pool_.get());
 }
 
 void ConcurrentQueryEngine::ConfigureAdmission(const AdmissionConfig& config) {
@@ -77,8 +67,7 @@ void ConcurrentQueryEngine::Return(std::unique_ptr<QueryEngine> engine) {
   // Idle-engine hygiene: a query that folded a huge chunk leaves its
   // engine's arena at that high-water mark; give the scratch back before
   // the engine idles (outside the pool lock — the engine is still
-  // exclusively ours here). Helper arenas have the analogous post-job trim
-  // inside MorselPool.
+  // exclusively ours here).
   if (engine->TrimFoldArenaIfAbove(kEngineArenaTrimBytes)) {
     fold_arena_trims_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -10,7 +10,6 @@
 #include "core/admission.h"
 #include "core/query_engine.h"
 #include "core/single_flight.h"
-#include "storage/morsel_pool.h"
 #include "util/deadline.h"
 #include "util/lockdep.h"
 #include "util/mutex.h"
@@ -87,16 +86,6 @@ class ConcurrentQueryEngine {
   /// demotion sink.
   void set_warm_tier(WarmTier* warm_tier);
 
-  /// Creates a MorselPool of `num_helpers` helper threads and wires it
-  /// into every pooled engine: large dense folds go morsel-parallel across
-  /// idle helpers (opportunistic borrow, batch-class cap — see
-  /// Aggregator::set_morsel_pool). Call before concurrent use; 0 disables
-  /// (and drops any existing pool, which must be idle).
-  void ConfigureMorsels(int num_helpers);
-
-  /// The shared morsel pool, or nullptr when not configured.
-  MorselPool* morsel_pool() { return morsel_pool_.get(); }
-
   /// Fold-arena trims performed on engines returned to the pool.
   int64_t fold_arena_trims() const {
     return fold_arena_trims_.load(std::memory_order_relaxed);
@@ -129,7 +118,6 @@ class ConcurrentQueryEngine {
   SingleFlight single_flight_;
   RollupPlanCache rollup_plans_;
   std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<MorselPool> morsel_pool_;   // set before threads start
   CircuitBreaker* shared_breaker_ = nullptr;  // set before threads start
   ResultCache* result_cache_ = nullptr;       // set before threads start
   WarmTier* warm_tier_ = nullptr;             // set before threads start

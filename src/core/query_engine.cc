@@ -464,7 +464,6 @@ void QueryEngine::ReadAndFold(const QueryPlan& plan, ExecState* st) {
     }
     s.tuples_aggregated += exec.tuples_aggregated;
     s.fold_ns += exec.fold_ns;
-    s.fold_lanes = std::max(s.fold_lanes, exec.fold_lanes);
     st->computed.push_back(ExecState::ComputedInfo{
         results.size(), exec.tuples_aggregated, std::move(exec.cached_inputs)});
     results.push_back(std::move(exec.data));

@@ -77,8 +77,6 @@ struct QueryStats {
   int64_t fold_ns = 0;            // time inside the rollup kernel (plan
                                   // lookup + fold + emit), a subset of
                                   // aggregation_ms
-  int fold_lanes = 1;             // peak morsel lanes any single fold ran
-                                  // on (> 1 = borrowed pool helpers)
 
   // Fault-path accounting.
   int64_t backend_attempts = 0;  // backend calls issued for this query
@@ -334,12 +332,6 @@ class QueryEngine {
   void set_warm_tier(WarmTier* warm_tier) { warm_tier_ = warm_tier; }
   WarmTier* warm_tier() { return warm_tier_; }
 
-  /// Attaches the shared morsel helper pool: large dense folds borrow idle
-  /// helpers for morsel-parallel execution (see Aggregator::set_morsel_pool
-  /// for the opportunistic-acquisition and batch-cap rules). Null (the
-  /// default) keeps every fold serial. The pool must outlive the engine.
-  void set_morsel_pool(MorselPool* pool) { aggregator_.set_morsel_pool(pool); }
-
   /// Heap bytes retained by this engine's fold arena.
   int64_t fold_arena_retained_bytes() const {
     return aggregator_.arena_retained_bytes();
@@ -355,7 +347,7 @@ class QueryEngine {
   /// This engine's aggregator (fold counters, plan-cache stats).
   const Aggregator& aggregator() const { return aggregator_; }
 
-  /// Test/bench access to fold-kernel and morsel knobs.
+  /// Test/bench access to the fold-kernel knob.
   Aggregator& mutable_aggregator() { return aggregator_; }
 
  private:

@@ -1,7 +1,6 @@
 #ifndef AAC_STORAGE_AGGREGATOR_H_
 #define AAC_STORAGE_AGGREGATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -14,8 +13,6 @@
 #include "util/deadline.h"
 
 namespace aac {
-
-class MorselPool;
 
 /// Rolls chunk contents up the hierarchy: aggregates cells at a detailed
 /// group-by into one chunk of a more aggregated group-by.
@@ -106,17 +103,6 @@ class Aggregator {
   void set_fold_kernel(FoldKernelKind kind) { fold_kernel_ = kind; }
   FoldKernelKind fold_kernel() const { return fold_kernel_; }
 
-  /// Attaches the shared helper pool for morsel-parallel dense folds (null
-  /// = always fold serially). The pool must outlive the aggregator.
-  /// Helpers are borrowed opportunistically per fold — never waited for —
-  /// and batch-class queries (exec context) may take at most half of them,
-  /// so a big batch rollup cannot starve interactive folds.
-  void set_morsel_pool(MorselPool* pool) { morsel_pool_ = pool; }
-
-  /// Minimum incoming cells before a dense fold tries to go parallel;
-  /// below it the fixed fan-out cost outweighs the win. Tests lower it.
-  void set_morsel_min_cells(int64_t cells) { morsel_min_cells_ = cells; }
-
   /// Debug/test introspection of the most recent fold.
   struct FoldInfo {
     bool used_dense = false;
@@ -125,7 +111,6 @@ class Aggregator {
     int64_t emit_iterations = 0;  // emit-loop iterations (== cells_touched;
                                   // the dense emit no longer sweeps
                                   // shape_cells)
-    int morsel_lanes = 1;         // lanes the fold actually ran on
     FoldKernelKind kernel = FoldKernelKind::kScalar;  // dense kernel used
   };
   const FoldInfo& last_fold() const { return last_fold_; }
@@ -146,14 +131,6 @@ class Aggregator {
   }
 
  private:
-  /// Outcome of folding one target-offset window (one lane's work).
-  struct WindowFoldOutcome {
-    bool completed = true;
-    int64_t tuples_scanned = 0;  // span cells scanned by this lane
-    int64_t cells_touched = 0;   // distinct offsets in [lo, hi) written
-    int64_t cancel_checks = 0;   // checkpoints this lane evaluated
-  };
-
   /// Folds all spans into the accumulator. Returns false when a
   /// cancellation checkpoint fired mid-fold; the accumulator is then empty
   /// and the arena has been wiped. Updates tuples_processed_ with the span
@@ -162,29 +139,12 @@ class Aggregator {
                  const std::vector<std::span<const Cell>>& spans,
                  std::vector<Cell>* accumulator);
 
-  /// Dense fold of `acc_cells` + `spans` restricted to target offsets in
-  /// [lo, hi), into `arena`, emitting the window's cells in offset order
-  /// into *out. Thread-compatible: reads only shared immutable inputs plus
-  /// exec_context_ (whose ShouldAbort is safe for concurrent readers) and
-  /// writes only `arena`/`out`, so concurrent calls on disjoint arenas are
-  /// race-free. On abort (context fired or *shared_abort set by another
-  /// lane) the arena is wiped, *out is cleared, shared_abort is raised and
-  /// completed = false.
-  WindowFoldOutcome FoldDenseWindow(const RollupPlan& plan,
-                                    const std::vector<Cell>& acc_cells,
-                                    const std::vector<std::span<const Cell>>& spans,
-                                    FoldArena& arena, int64_t lo, int64_t hi,
-                                    std::atomic<bool>* shared_abort,
-                                    std::vector<Cell>* out) const;
-
-  /// The morsel-parallel dense fold: partitions [0, plan.cells) across the
-  /// caller plus up to `max_helpers` idle pool helpers. Each lane scans
-  /// every source cell and merges only its own window, so every target
-  /// cell sees the full sequential merge order — bit-identical to the
-  /// serial fold for any lane count (DESIGN.md §13).
-  bool FoldSpansDenseParallel(const RollupPlan& plan,
-                              const std::vector<std::span<const Cell>>& spans,
-                              std::vector<Cell>* accumulator, int max_helpers);
+  /// Dense fold of the accumulator + `spans` over the whole target chunk
+  /// on arena_, emitting the touched cells in offset order back into the
+  /// accumulator. Same return contract as FoldSpans.
+  bool FoldSpansDense(const RollupPlan& plan,
+                      const std::vector<std::span<const Cell>>& spans,
+                      std::vector<Cell>* accumulator);
 
   /// One cancellation checkpoint: true = abort the fold now.
   bool CancelCheckpoint() {
@@ -199,17 +159,11 @@ class Aggregator {
   FoldArena arena_;
   FoldInfo last_fold_;
   const ExecContext* exec_context_ = nullptr;
-  MorselPool* morsel_pool_ = nullptr;
   FoldKernelKind fold_kernel_ = DefaultFoldKernel();
-  int64_t morsel_min_cells_ = kDefaultMorselMinCells;
   bool last_fold_cancelled_ = false;
   int64_t cancel_checks_ = 0;
   int64_t tuples_processed_ = 0;
   int64_t fold_nanos_ = 0;
-
- public:
-  /// Default morsel threshold: folds smaller than this stay serial.
-  static constexpr int64_t kDefaultMorselMinCells = 64 * 1024;
 };
 
 }  // namespace aac

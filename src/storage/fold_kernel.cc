@@ -14,15 +14,15 @@ namespace aac {
 
 namespace {
 
-inline void MergeIntoWindow(const DenseFoldWindow& w, int64_t off,
-                            const Cell& c) {
-  if (off < w.lo || off >= w.hi) return;
-  const size_t local = static_cast<size_t>(off - w.lo);
-  if (!w.occupied[local]) {
-    w.occupied[local] = 1;
-    w.touched->push_back(static_cast<int64_t>(local));
+inline void MergeIntoWindow(const RollupPlan& plan, const DenseFoldWindow& w,
+                            int64_t off, const Cell& c) {
+  if (off < 0 || off >= plan.cells) return;
+  const size_t slot = static_cast<size_t>(off);
+  if (!w.occupied[slot]) {
+    w.occupied[slot] = 1;
+    w.touched->push_back(off);
   }
-  w.states[local].Merge(c);
+  w.states[slot].Merge(c);
 }
 
 inline int64_t OffsetOf(const RollupPlan& plan, const Cell& c,
@@ -34,7 +34,8 @@ inline int64_t OffsetOf(const RollupPlan& plan, const Cell& c,
 void FoldCellsScalar(const RollupPlan& plan, const Cell* cells, size_t n,
                      bool at_source_level, const DenseFoldWindow& w) {
   for (size_t i = 0; i < n; ++i) {
-    MergeIntoWindow(w, OffsetOf(plan, cells[i], at_source_level), cells[i]);
+    MergeIntoWindow(plan, w, OffsetOf(plan, cells[i], at_source_level),
+                    cells[i]);
   }
 }
 
@@ -87,16 +88,13 @@ __attribute__((target("avx2"))) inline void MergeStateAvx2(FoldState* s,
 // SourceOffsetOf are skipped here; the same invariant was proven for every
 // table entry when the plan was built.
 //
-// Two-phase structure: `touched` only ever records window-local offsets of
-// THIS window and each offset exactly once, so touched->size() == window
-// size means every in-window state is already occupied. From that point on
-// the occupied test and the touched push are dead code and are dropped; the
-// [lo, hi) bounds test is additionally dropped when the window covers the
-// whole chunk (every plan-table offset is a valid offset < plan.cells, so
-// nothing can land outside). Morsel lanes fold through partial windows and
-// keep the bounds test in both phases. Merges run cell by cell in source
-// order in every phase, so the fold stays bit-identical to the scalar
-// kernel.
+// Two-phase structure: `touched` records each offset of the chunk exactly
+// once, so touched->size() == plan.cells means every state is already
+// occupied. From that point on the occupied test, the touched push and the
+// [0, plan.cells) bounds test are dead code and are dropped (every
+// plan-table offset is a valid offset < plan.cells, so nothing can land
+// outside). Merges run cell by cell in source order in both phases, so the
+// fold stays bit-identical to the scalar kernel.
 template <int ND, bool kAtSource>
 __attribute__((target("avx2"))) void FoldCellsAvx2Impl(
     const RollupPlan& plan, const Cell* cells, size_t n,
@@ -128,41 +126,33 @@ __attribute__((target("avx2"))) void FoldCellsAvx2Impl(
     return off;
   };
 
-  // Phase 1: full checks while untouched window cells remain.
-  const size_t window = static_cast<size_t>(w.hi - w.lo);
+  // Phase 1: full checks while untouched cells remain.
+  const size_t cells_in_chunk = static_cast<size_t>(plan.cells);
   size_t i = 0;
-  for (; i < n && w.touched->size() < window; ++i) {
+  for (; i < n && w.touched->size() < cells_in_chunk; ++i) {
     const int64_t off = offset_of(cells[i]);
-    if (off < w.lo || off >= w.hi) continue;
-    const size_t local = static_cast<size_t>(off - w.lo);
-    if (!w.occupied[local]) {
-      w.occupied[local] = 1;
-      w.touched->push_back(static_cast<int64_t>(local));
+    if (off < 0 || off >= plan.cells) continue;
+    const size_t slot = static_cast<size_t>(off);
+    if (!w.occupied[slot]) {
+      w.occupied[slot] = 1;
+      w.touched->push_back(off);
     }
-    MergeStateAvx2(&w.states[local], cells[i]);
+    MergeStateAvx2(&w.states[slot], cells[i]);
   }
 
-  // Phase 2: the window is saturated. Offsets for 8 cells are computed
-  // ahead of their merges so the state loads of a whole batch issue early.
-  if (w.lo == 0 && w.hi == plan.cells) {
-    int32_t offs[8];
-    for (; i + 8 <= n; i += 8) {
-      for (int k = 0; k < 8; ++k) {
-        offs[k] = static_cast<int32_t>(offset_of(cells[i + k]));
-      }
-      for (int k = 0; k < 8; ++k) {
-        MergeStateAvx2(&w.states[offs[k]], cells[i + k]);
-      }
+  // Phase 2: the chunk is saturated. Offsets for 8 cells are computed ahead
+  // of their merges so the state loads of a whole batch issue early.
+  int32_t offs[8];
+  for (; i + 8 <= n; i += 8) {
+    for (int k = 0; k < 8; ++k) {
+      offs[k] = static_cast<int32_t>(offset_of(cells[i + k]));
     }
-    for (; i < n; ++i) {
-      MergeStateAvx2(&w.states[offset_of(cells[i])], cells[i]);
+    for (int k = 0; k < 8; ++k) {
+      MergeStateAvx2(&w.states[offs[k]], cells[i + k]);
     }
-  } else {
-    for (; i < n; ++i) {
-      const int64_t off = offset_of(cells[i]);
-      if (off < w.lo || off >= w.hi) continue;
-      MergeStateAvx2(&w.states[off - w.lo], cells[i]);
-    }
+  }
+  for (; i < n; ++i) {
+    MergeStateAvx2(&w.states[offset_of(cells[i])], cells[i]);
   }
 }
 

@@ -43,25 +43,21 @@ FoldKernelKind ResolveFoldKernel(const char* mode);
 /// "vector" through it) and the CPU check.
 FoldKernelKind DefaultFoldKernel();
 
-/// One lane's view of the dense fold scratch: fold states and occupancy
-/// flags for the target offsets in [lo, hi), indexed locally (offset - lo).
-/// The touched list also records *window-local* offsets (first-touch
-/// order), which is what lets FoldArena::ResetDense wipe a helper lane's
-/// arena directly; emit adds `lo` back. The serial fold is the lo = 0,
-/// hi = plan.cells special case, where local == global.
+/// The dense fold scratch for one target chunk: fold states and occupancy
+/// flags indexed by target offset in [0, plan.cells), plus the list of
+/// offsets touched so far (first-touch order), which FoldArena::ResetDense
+/// uses to wipe exactly what the fold wrote.
 struct DenseFoldWindow {
   FoldState* states = nullptr;
   uint8_t* occupied = nullptr;
   std::vector<int64_t>* touched = nullptr;
-  int64_t lo = 0;
-  int64_t hi = 0;
 };
 
 /// Folds `n` cells into the window, skipping cells whose target offset
-/// falls outside [lo, hi). `at_source_level` selects SourceOffsetOf (cells
-/// at the plan's `from` level) vs TargetOffsetOf (re-folding accumulator
-/// cells already at the target level). Merge order is the cell order for
-/// every kernel — the bit-identity contract.
+/// falls outside [0, plan.cells). `at_source_level` selects SourceOffsetOf
+/// (cells at the plan's `from` level) vs TargetOffsetOf (re-folding
+/// accumulator cells already at the target level). Merge order is the cell
+/// order for every kernel — the bit-identity contract.
 void FoldCellsDense(const RollupPlan& plan, const Cell* cells, size_t n,
                     bool at_source_level, FoldKernelKind kind,
                     const DenseFoldWindow& window);

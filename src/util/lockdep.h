@@ -42,14 +42,16 @@ namespace aac {
 /// performs (DESIGN.md §10):
 ///   admission → engine pool → single-flight map → single-flight slot →
 ///   cache shard → {result cache, warm → disk, strategy} →
-///   breaker → fault injector → backend → rollup plan cache → morsel pool
-/// The fold-time capabilities (rollup plan cache, morsel pool) rank LAST:
+///   breaker → fault injector → backend → rollup plan cache
+/// The fold-time capability (rollup plan cache) ranks LAST:
 /// BackendServer::ExecuteChunkQuery aggregates under its own mutex (one
 /// mutex = the simulated remote server's serial execution), and
 /// FaultInjectingBackend holds its mutex across that inner call, so every
 /// fold-time lock is reachable under both and must rank above them.
 /// Gaps between values leave room to slot a new capability between two
-/// existing ones without renumbering (renumbering fails lint R8).
+/// existing ones without renumbering (renumbering fails lint R8). The enum
+/// is append-only: a rank whose lock is gone stays as a retired value so it
+/// is never reused.
 enum class LockRank : uint16_t {
   kAdmission = 100,        // admission gate: outermost, around engine work
   kEnginePool = 200,       // ConcurrentQueryEngine idle-list swap mutex
@@ -65,7 +67,7 @@ enum class LockRank : uint16_t {
   kFaultInjector = 1300,   // fault schedule; held across the inner backend
   kBackend = 1400,         // backend: folds chunk aggregates under its mutex
   kRollupPlanCache = 1500, // shared rollup plan cache (fold-time)
-  kMorselPool = 1600,      // morsel-parallel fold dispatch (fold-time)
+  kMorselPool = 1600,      // retired: no lock holds it; never reuse
 };
 
 /// Human-readable rank name for violation reports and edge dumps.

@@ -38,8 +38,6 @@ void AccumulateStats(const QueryStats& stats, WorkloadTotals* totals) {
   totals->lookup_ms += stats.lookup_ms;
   totals->aggregation_ms += stats.aggregation_ms;
   totals->fold_ms += static_cast<double>(stats.fold_ns) / 1e6;
-  totals->peak_fold_lanes = std::max(totals->peak_fold_lanes, stats.fold_lanes);
-  totals->parallel_fold_queries += stats.fold_lanes > 1 ? 1 : 0;
   totals->backend_ms += stats.backend_ms;
   totals->update_ms += stats.update_ms;
   if (stats.complete_hit) {

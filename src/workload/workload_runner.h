@@ -51,8 +51,6 @@ struct WorkloadTotals {
   double lookup_ms = 0.0;
   double aggregation_ms = 0.0;
   double fold_ms = 0.0;  // rollup-kernel time, a subset of aggregation_ms
-  int peak_fold_lanes = 1;        // max morsel lanes any query's fold used
-  int64_t parallel_fold_queries = 0;  // queries with at least one fold > 1 lane
   double backend_ms = 0.0;
   double update_ms = 0.0;
 

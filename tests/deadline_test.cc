@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "backend/backend.h"
@@ -9,6 +10,7 @@
 #include "storage/fact_table.h"
 #include "test_util.h"
 #include "util/deadline.h"
+#include "util/rng.h"
 #include "workload/experiment.h"
 
 namespace aac {
@@ -137,6 +139,95 @@ TEST(AggregatorCancel, NullContextCostsNoCheckpoints) {
                      cube.lattice->top_id(), 0);
   EXPECT_EQ(agg.cancel_checks(), 0);
   EXPECT_FALSE(agg.last_fold_cancelled());
+}
+
+// A two-dimensional cube whose base group-by is one side x side chunk.
+TestCube MakeFlatCube(int32_t side) {
+  TestCube c;
+  std::vector<Dimension> dims;
+  dims.push_back(Dimension::Uniform("x", 8, {side / 8}));
+  dims.push_back(Dimension::Uniform("y", 8, {side / 8}));
+  c.schema = std::make_unique<Schema>(std::move(dims));
+  c.lattice = std::make_unique<Lattice>(c.schema.get());
+  for (int d = 0; d < 2; ++d) {
+    c.layouts.push_back(std::make_unique<DimensionChunkLayout>(
+        DimensionChunkLayout::UniformValuesPerChunk(&c.schema->dimension(d),
+                                                    {8, side})));
+  }
+  std::vector<const DimensionChunkLayout*> ptrs;
+  for (const auto& l : c.layouts) ptrs.push_back(l.get());
+  c.grid = std::make_unique<ChunkGrid>(c.lattice.get(), std::move(ptrs));
+  return c;
+}
+
+// Random base cells inside base chunk 0 of a flat cube.
+std::vector<Cell> RandomFlatCells(const TestCube& cube, int n, uint64_t seed) {
+  Rng rng(seed);
+  const int32_t side = cube.schema->dimension(0).cardinality(1);
+  std::vector<Cell> cells;
+  cells.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    Cell c;
+    c.values[0] = static_cast<int32_t>(rng.Uniform(static_cast<uint64_t>(side)));
+    c.values[1] = static_cast<int32_t>(rng.Uniform(static_cast<uint64_t>(side)));
+    InitCellAggregates(c, static_cast<double>(rng.Uniform(1000)) + 0.5);
+    cells.push_back(c);
+  }
+  return cells;
+}
+
+// Exact equality including emit order, bit for bit.
+void ExpectExactlyEqual(int num_dims, const ChunkData& got,
+                        const ChunkData& want) {
+  ASSERT_EQ(got.cells.size(), want.cells.size());
+  for (size_t i = 0; i < got.cells.size(); ++i) {
+    const Cell& g = got.cells[i];
+    const Cell& w = want.cells[i];
+    for (int d = 0; d < num_dims; ++d) {
+      ASSERT_EQ(g.values[static_cast<size_t>(d)],
+                w.values[static_cast<size_t>(d)])
+          << "cell " << i;
+    }
+    ASSERT_EQ(g.measure, w.measure) << "cell " << i;
+    ASSERT_EQ(g.count, w.count) << "cell " << i;
+    ASSERT_EQ(g.min, w.min) << "cell " << i;
+    ASSERT_EQ(g.max, w.max) << "cell " << i;
+  }
+}
+
+// Tight-but-nonzero deadlines race the fold: the outcome must be exactly
+// one of {complete and bit-identical, cancelled and empty} — never a torn
+// chunk — and every outcome leaves the aggregator reusable. The input
+// spans several checkpoint blocks, so a deadline can fire mid-fold, after
+// part of the arena has been written.
+TEST(AggregatorCancel, TightDeadlineYieldsAllOrNothing) {
+  TestCube cube = MakeFlatCube(128);
+  const GroupById base = cube.lattice->base_id();
+  std::vector<Cell> cells = RandomFlatCells(cube, 50000, 23);
+  std::vector<std::span<const Cell>> spans{cells};
+  Aggregator fresh(cube.grid.get());
+  ChunkData want = fresh.AggregateSpans(base, spans, base, 0);
+
+  Aggregator agg(cube.grid.get());
+  for (const int64_t budget_ns :
+       {int64_t{1'000}, int64_t{10'000}, int64_t{100'000}, int64_t{1'000'000},
+        int64_t{10'000'000}}) {
+    ExecContext ctx;
+    ctx.deadline = Deadline::AfterNanos(budget_ns);
+    agg.set_exec_context(&ctx);
+    ChunkData out = agg.AggregateSpans(base, spans, base, 0);
+    if (agg.last_fold_cancelled()) {
+      EXPECT_EQ(out.tuple_count(), 0);
+    } else {
+      ExpectExactlyEqual(2, out, want);
+    }
+  }
+  // Whatever mix of outcomes (timing-dependent; both are valid), the
+  // aggregator must still fold correctly.
+  agg.set_exec_context(nullptr);
+  ChunkData after = agg.AggregateSpans(base, spans, base, 0);
+  EXPECT_FALSE(agg.last_fold_cancelled());
+  ExpectExactlyEqual(2, after, want);
 }
 
 // ---------------------------------------------------------------------------

@@ -94,7 +94,6 @@ TEST(FoldKernelDispatch, AggregatorReportsKernelUsed) {
   agg.AggregateCells(base, cells, base, 0);
   ASSERT_TRUE(agg.last_fold().used_dense);
   EXPECT_EQ(agg.last_fold().kernel, FoldKernelKind::kScalar);
-  EXPECT_EQ(agg.last_fold().morsel_lanes, 1);
 
   agg.set_fold_kernel(FoldKernelKind::kVector);
   agg.AggregateCells(base, cells, base, 0);
@@ -198,68 +197,6 @@ TEST(DenseEmitWalker, MatchesValuesOfOnRandomSortedOffsets) {
           }
         }
       }
-    }
-  }
-}
-
-// FoldCellsDense with a sub-range window must merge exactly the cells whose
-// target offsets land in [lo, hi): the union over a partition of windows
-// reproduces the full fold, and the touched lists are window-local.
-TEST(FoldCellsDense, WindowPartitionCoversFoldExactly) {
-  TestCube cube = MakeThreeDimCube();
-  const GroupById base = cube.lattice->base_id();
-  // base -> base chunk 0: 2*7*3 = 42 target cells, enough to split.
-  std::shared_ptr<const RollupPlan> plan =
-      BuildRollupPlan(*cube.grid, base, base, 0);
-  ASSERT_GT(plan->cells, 4);
-  Rng rng(99);
-  std::vector<Cell> cells = RandomSourceCells(cube, base, base, 0, 500, &rng);
-
-  for (FoldKernelKind kind :
-       {FoldKernelKind::kScalar, FoldKernelKind::kVector}) {
-    // Full-range fold.
-    std::vector<FoldState> full_states(static_cast<size_t>(plan->cells));
-    std::vector<uint8_t> full_occ(static_cast<size_t>(plan->cells), 0);
-    std::vector<int64_t> full_touched;
-    FoldCellsDense(*plan, cells.data(), cells.size(), true, kind,
-                   DenseFoldWindow{full_states.data(), full_occ.data(),
-                                   &full_touched, 0, plan->cells});
-
-    // Two-window partition of the same fold.
-    const int64_t mid = plan->cells / 2;
-    std::vector<FoldState> lo_states(static_cast<size_t>(mid));
-    std::vector<uint8_t> lo_occ(static_cast<size_t>(mid), 0);
-    std::vector<int64_t> lo_touched;
-    FoldCellsDense(*plan, cells.data(), cells.size(), true, kind,
-                   DenseFoldWindow{lo_states.data(), lo_occ.data(),
-                                   &lo_touched, 0, mid});
-    std::vector<FoldState> hi_states(static_cast<size_t>(plan->cells - mid));
-    std::vector<uint8_t> hi_occ(static_cast<size_t>(plan->cells - mid), 0);
-    std::vector<int64_t> hi_touched;
-    FoldCellsDense(*plan, cells.data(), cells.size(), true, kind,
-                   DenseFoldWindow{hi_states.data(), hi_occ.data(),
-                                   &hi_touched, mid, plan->cells});
-
-    ASSERT_EQ(lo_touched.size() + hi_touched.size(), full_touched.size());
-    for (int64_t local : lo_touched) {
-      ASSERT_GE(local, 0);
-      ASSERT_LT(local, mid);
-      const FoldState& got = lo_states[static_cast<size_t>(local)];
-      const FoldState& want = full_states[static_cast<size_t>(local)];
-      EXPECT_EQ(got.sum, want.sum);
-      EXPECT_EQ(got.count, want.count);
-      EXPECT_EQ(got.min, want.min);
-      EXPECT_EQ(got.max, want.max);
-    }
-    for (int64_t local : hi_touched) {
-      ASSERT_GE(local, 0);
-      ASSERT_LT(local, plan->cells - mid);
-      const FoldState& got = hi_states[static_cast<size_t>(local)];
-      const FoldState& want = full_states[static_cast<size_t>(local + mid)];
-      EXPECT_EQ(got.sum, want.sum);
-      EXPECT_EQ(got.count, want.count);
-      EXPECT_EQ(got.min, want.min);
-      EXPECT_EQ(got.max, want.max);
     }
   }
 }

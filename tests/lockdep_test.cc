@@ -175,7 +175,7 @@ TEST(LockdepTest, CondVarWaitKeepsHeldStackConsistent) {
 }
 
 TEST(LockdepTest, CondVarNotifiedWaitReacquiresCleanly) {
-  Mutex mu{LockRank::kMorselPool, "t.cv.notify"};
+  Mutex mu{LockRank::kRollupPlanCache, "t.cv.notify"};
   CondVar cv;
   bool done = false;
   std::thread notifier([&] {

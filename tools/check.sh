@@ -25,8 +25,8 @@
 #                              # forced to vector and then scalar: plain
 #                              # build first (runs rollup_kernel --smoke,
 #                              # which hosts the >= 1.5x SIMD perf assert),
-#                              # then ASan+UBSan, then TSan (the morsel
-#                              # path) — both forced modes each time
+#                              # then ASan+UBSan, then TSan — both
+#                              # forced modes each time
 #   tools/check.sh lockdep     # runtime lock-order validation: full test
 #                              # suite built with -DAAC_LOCKDEP=ON, every
 #                              # binary dumping its lock-order graph to one
@@ -50,158 +50,59 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 mode="${1:-all}"
 
-run_config() {
-  local name="$1" build_dir="$2"
-  shift 2
+# One sanitized (or plain) label run: configure BUILD_DIR with
+# -DAAC_SANITIZE=SANITIZE (sanitized trees also get -DAAC_LOCKDEP=ON, so
+# every sanitized suite runs under the runtime lock-order validator), build
+# TARGETS (space-separated; empty = the whole tree) plus the SMOKE benches,
+# run each SMOKE bench with --smoke (each exits nonzero when its internal
+# assertions fail), then ctest -L LABEL (empty = the full suite). KERNELS,
+# when given, repeats the ctest run once per AAC_FOLD_KERNEL value.
+#
+#   run_label NAME BUILD_DIR SANITIZE LABEL [TARGETS] [SMOKE] [KERNELS]
+run_label() {
+  local name="$1" build_dir="$2" sanitize="$3" label="$4"
+  local targets="${5:-}" smoke="${6:-}" kernels="${7:-}"
+  local lockdep_flag="-DAAC_LOCKDEP=OFF"
+  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
   echo "=== ${name}: configure ==="
-  cmake -B "${build_dir}" -S "${repo_root}" "$@"
+  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
+    "${lockdep_flag}"
   echo "=== ${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}"
-  echo "=== ${name}: ctest ==="
-  (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}")
+  local target_args=() t
+  if [ -n "${targets}" ]; then
+    for t in ${targets} ${smoke}; do target_args+=(--target "${t}"); done
+  fi
+  cmake --build "${build_dir}" -j "${jobs}" "${target_args[@]}"
+  for t in ${smoke}; do
+    echo "=== ${name}: ${t} --smoke ==="
+    "${build_dir}/bench/${t}" --smoke
+  done
+  local label_args=()
+  [ -n "${label}" ] && label_args=(-L "${label}")
+  local kernel env_args
+  for kernel in ${kernels:-inherited}; do
+    env_args=()
+    [ "${kernel}" != inherited ] && env_args=("AAC_FOLD_KERNEL=${kernel}")
+    echo "=== ${name}: ctest (${label:-all labels}, AAC_FOLD_KERNEL ${kernel}) ==="
+    (cd "${build_dir}" &&
+      env "${env_args[@]}" ctest "${label_args[@]}" --output-on-failure \
+        -j "${jobs}")
+  done
   echo "=== ${name}: OK ==="
 }
 
-# TSan only makes sense for multi-threaded tests, and instruments everything
-# it touches ~10x slower — so the tsan config runs just the tests labeled
-# "concurrency" (the sharded-cache stress, single-flight and parallel-runner
-# suites) instead of the whole tier-1 set.
-run_tsan() {
-  local build_dir="${repo_root}/build-tsan"
-  echo "=== tsan: configure ==="
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE=thread \
-    -DAAC_LOCKDEP=ON
-  echo "=== tsan: build ==="
-  cmake --build "${build_dir}" -j "${jobs}"
-  echo "=== tsan: ctest (-L concurrency) ==="
-  (cd "${build_dir}" && ctest -L concurrency --output-on-failure -j "${jobs}")
-  echo "=== tsan: OK ==="
-}
+# The test binaries carrying each ctest label that a mode builds by target
+# instead of building the whole tree.
+kernel_tests="aggregator_test rollup_plan_test fold_kernel_test fold_arena_test
+  deadline_test"
+tiered_tests="chunk_codec_test tiered_cache_test overload_storm_test"
 
-# Sanitized gate for the overload surface: run the "robustness"-labeled
-# suite (deadlines, cancellation, admission control, retry clamping, the
-# overload storm) under ASan+UBSan and then TSan. Deadline/cancel bugs are
-# exactly the kind that only show up as a use-after-free of a torn-down
-# query or a data race in an abort path, so this label gets both sanitizers.
-run_robustness() {
-  local name="$1" build_dir="$2" sanitize="$3"
-  echo "=== robustness/${name}: configure ==="
-  local lockdep_flag="-DAAC_LOCKDEP=OFF"
-  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
-    "${lockdep_flag}"
-  echo "=== robustness/${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}"
-  echo "=== robustness/${name}: ctest (-L robustness) ==="
-  (cd "${build_dir}" && ctest -L robustness --output-on-failure -j "${jobs}")
-  echo "=== robustness/${name}: OK ==="
-}
-
-# Sanitized gate for the semantic result cache: run the "resultcache"-
-# labeled suite (canonicalization property tests, result-cache unit and
-# engine-integration tests, the replace-in-place listener regression) under
-# ASan+UBSan and then TSan. The layer sits on the hot query path and is
-# shared across engine pools, so its bugs surface exactly as races and
-# lifetime errors — both sanitizers gate it.
-run_resultcache() {
-  local name="$1" build_dir="$2" sanitize="$3"
-  echo "=== resultcache/${name}: configure ==="
-  local lockdep_flag="-DAAC_LOCKDEP=OFF"
-  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
-    "${lockdep_flag}"
-  echo "=== resultcache/${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}"
-  echo "=== resultcache/${name}: ctest (-L resultcache) ==="
-  (cd "${build_dir}" && ctest -L resultcache --output-on-failure -j "${jobs}")
-  echo "=== resultcache/${name}: OK ==="
-}
-
-# Sanitized gate for the tiered chunk cache: run the "tiered"-labeled
-# suite (codec round-trip/differential fuzz, demotion-ledger accounting,
-# torn-spill-file regressions, single-flight promotion races) under
-# ASan+UBSan and then TSan, plus the tiered_cache bench in --smoke mode
-# (it exits nonzero unless both tiered modes strictly beat the one-tier
-# hit rate at equal RAM and every tier's invariants hold). Demote/promote
-# bugs surface as lifetime errors on encoded blobs or races between the
-# eviction path and single-flight decode — both sanitizers gate them.
-run_tiered() {
-  local name="$1" build_dir="$2" sanitize="$3"
-  echo "=== tiered/${name}: configure ==="
-  local lockdep_flag="-DAAC_LOCKDEP=OFF"
-  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
-    "${lockdep_flag}"
-  echo "=== tiered/${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}" --target tiered_cache \
-    chunk_codec_test tiered_cache_test
-  echo "=== tiered/${name}: tiered_cache --smoke ==="
-  "${build_dir}/bench/tiered_cache" --smoke
-  echo "=== tiered/${name}: ctest (-L tiered) ==="
-  (cd "${build_dir}" && ctest -L tiered --output-on-failure -j "${jobs}")
-  echo "=== tiered/${name}: OK ==="
-}
-
-# Sanitized gate for the rollup kernel: build the rollup_kernel,
-# overload_storm and result_cache benches plus the "kernel"-labeled tests
-# under ASan+UBSan and TSan, run the benches in --smoke mode (tiny sizes;
-# each exits nonzero if its internal assertions fail — kernel-vs-reference
-# equality for rollup_kernel, goodput/typed-resolution/zero-pin invariants
-# for overload_storm, hits + bit-identity for result_cache) and the kernel
-# test label.
-run_bench_smoke() {
-  local name="$1" build_dir="$2" sanitize="$3"
-  echo "=== bench-smoke/${name}: configure ==="
-  local lockdep_flag="-DAAC_LOCKDEP=OFF"
-  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
-    "${lockdep_flag}"
-  echo "=== bench-smoke/${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}" --target rollup_kernel \
-    overload_storm result_cache aggregator_test rollup_plan_test
-  echo "=== bench-smoke/${name}: rollup_kernel --smoke ==="
-  "${build_dir}/bench/rollup_kernel" --smoke
-  echo "=== bench-smoke/${name}: overload_storm --smoke ==="
-  "${build_dir}/bench/overload_storm" --smoke
-  echo "=== bench-smoke/${name}: result_cache --smoke ==="
-  "${build_dir}/bench/result_cache" --smoke
-  echo "=== bench-smoke/${name}: ctest (-L kernel) ==="
-  (cd "${build_dir}" && ctest -L kernel --output-on-failure -j "${jobs}")
-  echo "=== bench-smoke/${name}: OK ==="
-}
-
-# Forced-dispatch gate for the fold kernel seam: run the "kernel"-labeled
-# tests (bit-identity property suite, morsel folds, arena accounting) with
-# AAC_FOLD_KERNEL pinned to "vector" and then "scalar", so neither runtime
-# dispatch nor the auto default can hide a kernel-specific bug. The plain
-# build also runs rollup_kernel --smoke, which asserts the vector dense
-# path >= 1.5x over scalar on AVX2 hardware (the bench skips that assert
-# under sanitizers and on machines without AVX2; forcing "vector" there
-# degrades to scalar by design, so the run still passes — it just stops
-# exercising a distinct code path).
-run_kernel_simd() {
-  local name="$1" build_dir="$2" sanitize="$3"
-  echo "=== kernel-simd/${name}: configure ==="
-  local lockdep_flag="-DAAC_LOCKDEP=OFF"
-  [ "${sanitize}" != "OFF" ] && lockdep_flag="-DAAC_LOCKDEP=ON"
-  cmake -B "${build_dir}" -S "${repo_root}" -DAAC_SANITIZE="${sanitize}" \
-    "${lockdep_flag}"
-  echo "=== kernel-simd/${name}: build ==="
-  cmake --build "${build_dir}" -j "${jobs}" --target rollup_kernel \
-    aggregator_test rollup_plan_test fold_kernel_test morsel_fold_test \
-    fold_arena_test
-  if [ "${sanitize}" = "OFF" ]; then
-    echo "=== kernel-simd/${name}: rollup_kernel --smoke ==="
-    "${build_dir}/bench/rollup_kernel" --smoke
-  fi
-  local kernel
-  for kernel in vector scalar; do
-    echo "=== kernel-simd/${name}: ctest (-L kernel, AAC_FOLD_KERNEL=${kernel}) ==="
-    (cd "${build_dir}" &&
-      AAC_FOLD_KERNEL="${kernel}" ctest -L kernel --output-on-failure \
-        -j "${jobs}")
-  done
-  echo "=== kernel-simd/${name}: OK ==="
+# Runs one label mode under ASan+UBSan, then TSan.
+run_sanitized() {
+  local mode="$1"
+  shift
+  run_label "${mode}/asan+ubsan" "${repo_root}/build-asan" ON "$@"
+  run_label "${mode}/tsan" "${repo_root}/build-tsan" thread "$@"
 }
 
 # Lock-order gate: the whole suite under -DAAC_LOCKDEP=ON, with every test
@@ -227,35 +128,28 @@ run_lockdep() {
 
 case "${mode}" in
   plain)
-    run_config "plain" "${repo_root}/build"
+    run_label "plain" "${repo_root}/build" OFF ""
     ;;
   asan)
-    run_config "asan+ubsan" "${repo_root}/build-asan" -DAAC_SANITIZE=ON \
-      -DAAC_LOCKDEP=ON
+    run_label "asan+ubsan" "${repo_root}/build-asan" ON ""
     ;;
   tsan)
-    run_tsan
+    run_label "tsan" "${repo_root}/build-tsan" thread concurrency
     ;;
-  robustness)
-    run_robustness "asan+ubsan" "${repo_root}/build-asan" ON
-    run_robustness "tsan" "${repo_root}/build-tsan" thread
-    ;;
-  resultcache)
-    run_resultcache "asan+ubsan" "${repo_root}/build-asan" ON
-    run_resultcache "tsan" "${repo_root}/build-tsan" thread
+  robustness | resultcache)
+    run_sanitized "${mode}" "${mode}"
     ;;
   tiered)
-    run_tiered "asan+ubsan" "${repo_root}/build-asan" ON
-    run_tiered "tsan" "${repo_root}/build-tsan" thread
+    run_sanitized tiered tiered "${tiered_tests}" tiered_cache
     ;;
   bench-smoke)
-    run_bench_smoke "asan+ubsan" "${repo_root}/build-asan" ON
-    run_bench_smoke "tsan" "${repo_root}/build-tsan" thread
+    run_sanitized bench-smoke kernel "${kernel_tests}" \
+      "rollup_kernel overload_storm result_cache"
     ;;
   kernel-simd)
-    run_kernel_simd "plain" "${repo_root}/build" OFF
-    run_kernel_simd "asan+ubsan" "${repo_root}/build-asan" ON
-    run_kernel_simd "tsan" "${repo_root}/build-tsan" thread
+    run_label "kernel-simd/plain" "${repo_root}/build" OFF kernel \
+      "${kernel_tests}" rollup_kernel "vector scalar"
+    run_sanitized kernel-simd kernel "${kernel_tests}" "" "vector scalar"
     ;;
   lockdep)
     run_lockdep
@@ -265,10 +159,9 @@ case "${mode}" in
     ;;
   all)
     "${repo_root}/tools/lint.sh"
-    run_config "plain" "${repo_root}/build"
-    run_config "asan+ubsan" "${repo_root}/build-asan" -DAAC_SANITIZE=ON \
-      -DAAC_LOCKDEP=ON
-    run_tsan
+    run_label "plain" "${repo_root}/build" OFF ""
+    run_label "asan+ubsan" "${repo_root}/build-asan" ON ""
+    run_label "tsan" "${repo_root}/build-tsan" thread concurrency
     run_lockdep
     ;;
   *)

@@ -259,20 +259,6 @@ ANNOTATION_TABLE = [
     ("src/backend/fault_injector.h",
      r"stats_\s+AAC_GUARDED_BY\(mutex_\)",
      "FaultInjectingBackend::stats_ must be AAC_GUARDED_BY(mutex_)"),
-    # Morsel pool: the work queue, idle count and stop flag are the
-    # helper-dispatch protocol; losing a guard means a racy helper borrow.
-    ("src/storage/morsel_pool.h",
-     r"pending_\s+AAC_GUARDED_BY\(mutex_\)",
-     "MorselPool::pending_ must be AAC_GUARDED_BY(mutex_)"),
-    ("src/storage/morsel_pool.h",
-     r"idle_\s+AAC_GUARDED_BY\(mutex_\)",
-     "MorselPool::idle_ must be AAC_GUARDED_BY(mutex_)"),
-    ("src/storage/morsel_pool.h",
-     r"stop_\s+AAC_GUARDED_BY\(mutex_\)",
-     "MorselPool::stop_ must be AAC_GUARDED_BY(mutex_)"),
-    ("src/storage/morsel_pool.h",
-     r"stats_\s+AAC_GUARDED_BY\(mutex_\)",
-     "MorselPool::stats_ must be AAC_GUARDED_BY(mutex_)"),
 ]
 
 
@@ -328,43 +314,41 @@ def check_fold_hot_path():
 # R4 + R5: test registration and label audits.
 # --------------------------------------------------------------------------
 
-CONCURRENCY_MARKERS = re.compile(
-    r"#\s*include\s*(<thread>"
-    r"|\"core/concurrent_engine\.h\""
-    r"|\"core/single_flight\.h\""
-    r"|\"cache/chunk_cache\.h\""
-    r"|\"storage/rollup_plan\.h\""
-    r"|\"storage/fold_kernel\.h\""
-    r"|\"storage/morsel_pool\.h\""
-    r"|\"workload/parallel_runner\.h\")"
-)
+# One row per audited label: (label, includes that put a test in its
+# surface, what that surface is, the tools/check.sh mode that runs the
+# label, and what that mode runs it under). A test that includes any of the
+# headers must carry the label, or the mode never runs it.
+LABEL_AUDITS = [
+    # The concurrent core — tools/check.sh tsan runs this label under TSan.
+    ("concurrency",
+     ["<thread>", '"core/concurrent_engine.h"', '"core/single_flight.h"',
+      '"cache/chunk_cache.h"', '"storage/rollup_plan.h"',
+      '"storage/fold_kernel.h"', '"workload/parallel_runner.h"'],
+     "the concurrent core", "tsan", "ThreadSanitizer"),
+    # The overload surface (deadlines, cancellation, admission, retries,
+    # faults).
+    ("robustness",
+     ['"core/admission.h"', '"util/deadline.h"', '"core/retry_policy.h"',
+      '"backend/fault_injector.h"'],
+     "the overload surface (deadlines/admission/retries/faults)",
+     "robustness", "the sanitizers"),
+    # The semantic result layer (the result cache itself or the query
+    # canonicalizer feeding it).
+    ("resultcache",
+     ['"cache/result_cache.h"', '"core/query_canon.h"'],
+     "the result cache / canonicalizer", "resultcache", "the sanitizers"),
+    # The tiered cache (the compressed warm tier, the disk spill tier, or
+    # the chunk codec feeding both).
+    ("tiered",
+     ['"cache/warm_tier.h"', '"cache/disk_tier.h"', '"storage/chunk_codec.h"'],
+     "the tiered cache (warm/disk tier or chunk codec)", "tiered",
+     "the sanitizers"),
+]
 
-# Tests that drive the overload surface directly (deadlines, cancellation,
-# admission) belong to the robustness label — tools/check.sh robustness runs
-# that label under ASan/UBSan and TSan builds.
-ROBUSTNESS_MARKERS = re.compile(
-    r"#\s*include\s*(\"core/admission\.h\""
-    r"|\"util/deadline\.h\""
-    r"|\"core/retry_policy\.h\""
-    r"|\"backend/fault_injector\.h\")"
-)
 
-# Tests that drive the semantic result layer (the result cache itself or
-# the query canonicalizer feeding it) belong to the resultcache label —
-# tools/check.sh resultcache runs that label under ASan/UBSan and TSan.
-RESULTCACHE_MARKERS = re.compile(
-    r"#\s*include\s*(\"cache/result_cache\.h\""
-    r"|\"core/query_canon\.h\")"
-)
-
-# Tests that drive the tiered cache (the compressed warm tier, the disk
-# spill tier, or the chunk codec feeding both) belong to the tiered label —
-# tools/check.sh tiered runs that label under ASan/UBSan and TSan.
-TIERED_MARKERS = re.compile(
-    r"#\s*include\s*(\"cache/warm_tier\.h\""
-    r"|\"cache/disk_tier\.h\""
-    r"|\"storage/chunk_codec\.h\")"
-)
+def include_markers(headers):
+    return re.compile(r"#\s*include\s*(" +
+                      "|".join(re.escape(h) for h in headers) + ")")
 
 
 def check_test_registry():
@@ -389,33 +373,13 @@ def check_test_registry():
                     "it will never build or run")
             continue
         text = path.read_text(encoding="utf-8")
-        if CONCURRENCY_MARKERS.search(text):
-            if "concurrency" not in registered[name]:
-                finding(path, 1, "R5-concurrency-label",
-                        f"{name} exercises the concurrent core but is not "
-                        "labeled \"concurrency\" — tools/check.sh tsan will "
-                        "never run it under ThreadSanitizer")
-        if ROBUSTNESS_MARKERS.search(text):
-            if "robustness" not in registered[name]:
-                finding(path, 1, "R5-robustness-label",
-                        f"{name} exercises the overload surface (deadlines/"
-                        "admission/retries/faults) but is not labeled "
-                        "\"robustness\" — tools/check.sh robustness will "
-                        "never run it under the sanitizers")
-        if RESULTCACHE_MARKERS.search(text):
-            if "resultcache" not in registered[name]:
-                finding(path, 1, "R5-resultcache-label",
-                        f"{name} exercises the result cache / canonicalizer "
-                        "but is not labeled \"resultcache\" — "
-                        "tools/check.sh resultcache will never run it under "
-                        "the sanitizers")
-        if TIERED_MARKERS.search(text):
-            if "tiered" not in registered[name]:
-                finding(path, 1, "R5-tiered-label",
-                        f"{name} exercises the tiered cache (warm/disk tier "
-                        "or chunk codec) but is not labeled \"tiered\" — "
-                        "tools/check.sh tiered will never run it under the "
-                        "sanitizers")
+        for label, headers, surface, mode, under in LABEL_AUDITS:
+            if (include_markers(headers).search(text)
+                    and label not in registered[name]):
+                finding(path, 1, f"R5-{label}-label",
+                        f"{name} exercises {surface} but is not labeled "
+                        f"\"{label}\" — tools/check.sh {mode} will never "
+                        f"run it under {under}")
 
 
 # --------------------------------------------------------------------------
@@ -504,7 +468,7 @@ LOCK_RANK_ENUM = [
     ("kFaultInjector", 1300),
     ("kBackend", 1400),
     ("kRollupPlanCache", 1500),
-    ("kMorselPool", 1600),
+    ("kMorselPool", 1600),  # retired with its lock; kept so it is never reused
 ]
 
 LOCK_RANK_TABLE = [
@@ -530,8 +494,6 @@ LOCK_RANK_TABLE = [
      "VcmcStrategy::mutex_ must declare LockRank::kStrategy"),
     ("src/storage/rollup_plan.h", r"mutex_\{LockRank::kRollupPlanCache,",
      "RollupPlanCache::mutex_ must declare LockRank::kRollupPlanCache"),
-    ("src/storage/morsel_pool.h", r"mutex_\{LockRank::kMorselPool,",
-     "MorselPool::mutex_ must declare LockRank::kMorselPool"),
     ("src/core/circuit_breaker.h", r"mutex_\{LockRank::kCircuitBreaker,",
      "CircuitBreaker::mutex_ must declare LockRank::kCircuitBreaker"),
     ("src/backend/fault_injector.h", r"mutex_\{LockRank::kFaultInjector,",
