@@ -18,8 +18,8 @@ namespace {
 double TotalAtTop(Experiment& exp) {
   Query top = Query::WholeLevel(exp.schema(), exp.schema().top_level());
   double total = 0;
-  for (const ChunkData& chunk : exp.engine().ExecuteQuery(top, nullptr).chunks) {
-    for (const Cell& cell : chunk.cells) total += cell.measure;
+  for (const ChunkRef& chunk : exp.engine().ExecuteQuery(top, nullptr).chunks) {
+    for (const Cell& cell : chunk->cells) total += cell.measure;
   }
   return total;
 }

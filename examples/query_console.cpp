@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
       continue;
     }
     QueryStats stats;
-    std::vector<ChunkData> chunks =
+    std::vector<ChunkRef> chunks =
         exp.engine().ExecuteQuery(parsed.query, &stats).chunks;
     std::vector<ResultRow> rows =
         RefineResult(exp.schema(), parsed.query, chunks);

@@ -48,7 +48,8 @@ int main() {
   // result was never queried — but the active cache *aggregates* the cached
   // monthly chunks instead of going back to the database.
   Query yearly = Query::WholeLevel(exp.schema(), LevelVector{4, 1, 0, 0, 0});
-  std::vector<ChunkData> result = exp.engine().ExecuteQuery(yearly, &stats).chunks;
+  std::vector<ChunkRef> result =
+      exp.engine().ExecuteQuery(yearly, &stats).chunks;
   std::printf("Q3 rolled up to years     : %lld chunks, %lld by in-cache "
               "aggregation, %lld from backend (%.2f ms)\n\n",
               static_cast<long long>(stats.chunks_requested),
@@ -56,8 +57,8 @@ int main() {
               static_cast<long long>(stats.chunks_backend), stats.TotalMs());
 
   double total = 0;
-  for (const ChunkData& chunk : result) {
-    for (const Cell& cell : chunk.cells) total += cell.measure;
+  for (const ChunkRef& chunk : result) {
+    for (const Cell& cell : chunk->cells) total += cell.measure;
   }
   std::printf("total unit sales across Q3's result: %.0f\n", total);
   std::printf("backend queries issued overall: %lld (the roll-up needed "

@@ -99,29 +99,27 @@ const ChunkData* ChunkCache::Get(const CacheKey& key) {
   }
   ++shard.stats.hits;
   it->second.clock_value = policy_->ClockValue(it->second.info);
-  return &it->second.data;
+  return it->second.data.get();
 }
 
 const ChunkData* ChunkCache::Peek(const CacheKey& key) const {
   const Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
   auto it = shard.entries.find(key);
-  return it == shard.entries.end() ? nullptr : &it->second.data;
+  return it == shard.entries.end() ? nullptr : it->second.data.get();
 }
 
-bool ChunkCache::GetCopy(const CacheKey& key, ChunkData* out) {
-  AAC_CHECK(out != nullptr);
+ChunkRef ChunkCache::GetRef(const CacheKey& key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
   auto it = shard.entries.find(key);
   if (it == shard.entries.end()) {
     ++shard.stats.misses;
-    return false;
+    return nullptr;
   }
   ++shard.stats.hits;
   it->second.clock_value = policy_->ClockValue(it->second.info);
-  *out = it->second.data;
-  return true;
+  return it->second.data;
 }
 
 const ChunkData* ChunkCache::GetPinned(const CacheKey& key) {
@@ -135,17 +133,23 @@ const ChunkData* ChunkCache::GetPinned(const CacheKey& key) {
   ++shard.stats.hits;
   it->second.clock_value = policy_->ClockValue(it->second.info);
   ++it->second.pin_count;
-  return &it->second.data;
+  return it->second.data.get();
 }
 
 bool ChunkCache::Insert(ChunkData data, double benefit, ChunkSource source) {
-  const CacheKey key{data.gb, data.chunk};
+  return Insert(std::make_shared<const ChunkData>(std::move(data)), benefit,
+                source);
+}
+
+bool ChunkCache::Insert(ChunkRef data, double benefit, ChunkSource source) {
+  AAC_CHECK(data != nullptr);
+  const CacheKey key{data->gb, data->chunk};
   CacheEntryInfo info;
   info.key = key;
-  info.bytes = data.LogicalBytes(bytes_per_tuple_);
+  info.bytes = data->LogicalBytes(bytes_per_tuple_);
   info.benefit = benefit;
   info.source = source;
-  const auto tuples = static_cast<int64_t>(data.tuple_count());
+  const int64_t tuples = data->tuple_count();
 
   Shard& shard = ShardFor(key);
   std::vector<Demoted> demoted;
@@ -160,24 +164,29 @@ bool ChunkCache::Insert(ChunkData data, double benefit, ChunkSource source) {
   // insert itself was ultimately rejected — their bytes already left the
   // hot budget. A successful insert also purges the key from lower tiers
   // (single authoritative copy; a stale demoted blob must never be
-  // promoted over this fresher data).
+  // promoted over this fresher data). The sink gets its own copy of each
+  // victim: a reader may still hold the victim's ref, and shared data is
+  // never moved from.
   if (sink_ != nullptr) {
-    for (Demoted& d : demoted) sink_->OnDemote(d.info, std::move(d.data));
+    for (const Demoted& d : demoted) {
+      sink_->OnDemote(d.info, ChunkData(*d.data));
+    }
     if (erase_sink) sink_->OnErase(key);
   }
   return inserted;
 }
 
 bool ChunkCache::InsertLocked(Shard& shard, const CacheKey& key,
-                              const CacheEntryInfo& info, ChunkData&& data,
+                              const CacheEntryInfo& info, ChunkRef&& data,
                               int64_t tuples, std::vector<Demoted>* demoted,
                               bool* erase_sink) {
   auto existing = shard.entries.find(key);
   if (existing != shard.entries.end()) {
     Entry& entry = existing->second;
     if (entry.pin_count > 0) {
-      // A reader holds the data; swapping it out would invalidate the
-      // pinned pointer. Treat the insert as a use only.
+      // A fold reads the data through the pinned pointer, which only this
+      // entry's ref keeps alive; swapping it out could free the cells
+      // mid-fold. Treat the insert as a use only.
       entry.clock_value = policy_->ClockValue(entry.info);
       return true;
     }

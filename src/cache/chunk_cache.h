@@ -45,8 +45,9 @@ class DemotionSink {
  public:
   virtual ~DemotionSink() = default;
 
-  /// A capacity eviction pushed this entry out of the hot tier; the data
-  /// is moved to the sink.
+  /// A capacity eviction pushed this entry out of the hot tier; the sink
+  /// receives its own copy of the data (readers may still share the
+  /// evicted chunk).
   virtual void OnDemote(const CacheEntryInfo& info, ChunkData&& data) = 0;
 
   /// The key's authoritative copy changed or vanished: a successful Insert
@@ -67,21 +68,25 @@ class DemotionSink {
 /// so the virtual-count strategies can maintain their summary state.
 ///
 /// Entries can be *pinned* while a plan executor reads them, which exempts
-/// them from eviction; eviction mid-aggregation would invalidate the
-/// executor's pointers.
+/// them from eviction: a fold's inputs stay resident (and keep counting
+/// against the budget) until the fold is done.
 ///
 /// Concurrency: the cache is split into `num_shards` shards by hash of the
 /// key; every shard has its own mutex, entry map, CLOCK rings and byte
 /// budget (capacity/num_shards each), so operations on different shards
 /// never contend. All mutating and reading member functions are safe to
-/// call from multiple threads. The raw-pointer accessors `Get` and `Peek`
-/// remain for single-threaded callers (the pointer is released outside the
-/// lock); concurrent readers must use `GetCopy` or `GetPinned`, whose
-/// results stay valid by copy or by pin respectively. Listeners fire while
-/// the affected shard's lock is held (see CacheListener's contract). The
-/// default of one shard preserves the exact global eviction order of the
-/// serial cache; experiments that care about replacement fidelity use it,
-/// concurrent drivers pass 16+.
+/// call from multiple threads. Each entry holds its chunk as an immutable
+/// `ChunkRef`. `GetRef` hands out another ref under the shard lock — one
+/// refcount bump, no copy — and that ref keeps the cells alive after the
+/// entry is replaced, evicted or removed, so it is the read concurrent
+/// callers use for whole chunks. `GetPinned` returns a raw pointer kept
+/// valid by a pin instead (the executor's fold inputs). The raw-pointer
+/// accessors `Get` and `Peek` remain for single-threaded callers: their
+/// pointer dies with the entry. Listeners fire while the affected shard's
+/// lock is held (see CacheListener's contract). The default of one shard
+/// preserves the exact global eviction order of the serial cache;
+/// experiments that care about replacement fidelity use it, concurrent
+/// drivers pass 16+.
 class ChunkCache {
  public:
   /// Upper bound on any entry's clock value. Policies grant weights in
@@ -129,17 +134,17 @@ class ChunkCache {
   /// Returns the cached chunk and refreshes its clock value, or nullptr.
   /// Counts a hit or miss. Single-threaded use only: the pointer is valid
   /// until the entry is evicted or replaced, which a concurrent writer may
-  /// do at any time — concurrent readers use GetCopy or GetPinned.
+  /// do at any time — concurrent readers use GetRef or GetPinned.
   const ChunkData* Get(const CacheKey& key);
 
   /// Returns the cached chunk without touching replacement state or stats.
   /// Same single-threaded pointer caveat as Get.
   const ChunkData* Peek(const CacheKey& key) const;
 
-  /// Copies the cached chunk into `*out` under the shard lock; returns
-  /// false on a miss. Counts a hit or miss and refreshes the clock value.
-  /// Safe under any concurrency.
-  bool GetCopy(const CacheKey& key, ChunkData* out);
+  /// Returns a shared ref to the cached chunk, or null on a miss. Counts a
+  /// hit or miss and refreshes the clock value. Safe under any concurrency:
+  /// the ref keeps the chunk alive however the entry changes afterwards.
+  ChunkRef GetRef(const CacheKey& key);
 
   /// Returns the cached chunk with its pin count raised (caller must Unpin
   /// when done), or nullptr on a miss. Counts a hit or miss and refreshes
@@ -155,6 +160,10 @@ class ChunkCache {
   /// leave stale data cached); listeners see OnUpdate, not OnInsert. If the
   /// existing entry is pinned its data cannot be swapped out from under the
   /// reader — the insert only refreshes the clock value and returns true.
+  /// The cache shares `data` with the caller; nothing is copied.
+  bool Insert(ChunkRef data, double benefit, ChunkSource source);
+
+  /// Same, for a chunk the caller owns outright.
   bool Insert(ChunkData data, double benefit, ChunkSource source);
 
   /// Removes a chunk; returns false if it was not cached (hot-tier
@@ -192,7 +201,7 @@ class ChunkCache {
 
  private:
   struct Entry {
-    ChunkData data;
+    ChunkRef data;
     CacheEntryInfo info;
     double clock_value = 0.0;
     int32_t pin_count = 0;
@@ -204,7 +213,7 @@ class ChunkCache {
   /// offered to the demotion sink after the lock is released.
   struct Demoted {
     CacheEntryInfo info;
-    ChunkData data;
+    ChunkRef data;
   };
 
   using EntryMap = std::unordered_map<CacheKey, Entry, CacheKeyHash>;
@@ -237,7 +246,7 @@ class ChunkCache {
   /// into `*demoted` (when a sink is installed); `*erase_sink` is set when
   /// the caller must fire OnErase(key) after unlocking.
   bool InsertLocked(Shard& shard, const CacheKey& key,
-                    const CacheEntryInfo& info, ChunkData&& data,
+                    const CacheEntryInfo& info, ChunkRef&& data,
                     int64_t tuples, std::vector<Demoted>* demoted,
                     bool* erase_sink) AAC_REQUIRES(shard.mutex);
 
@@ -250,8 +259,8 @@ class ChunkCache {
 
   /// Removes the entry from the shard (bytes leave the hot accounting
   /// here, atomically). With a sink installed and `demoted` non-null the
-  /// entry's data is moved into `*demoted` for a post-unlock OnDemote;
-  /// otherwise it is destroyed. Null `demoted` = explicit removal.
+  /// entry's ref is moved into `*demoted` for a post-unlock OnDemote;
+  /// otherwise the entry drops it. Null `demoted` = explicit removal.
   void EvictEntry(Shard& shard, EntryMap::iterator it,
                   std::vector<Demoted>* demoted) AAC_REQUIRES(shard.mutex);
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <memory>
+#include <utility>
 
 #include "cache/replacement.h"
 #include "util/check.h"
@@ -16,7 +19,7 @@ ResultCache::ResultCache(Config config) : config_(config) {
   hand_ = ring_.end();
 }
 
-bool ResultCache::Probe(const ResultCacheKey& key, std::vector<ChunkData>* out) {
+bool ResultCache::Probe(const ResultCacheKey& key, std::vector<ChunkRef>* out) {
   AAC_CHECK(out != nullptr);
   MutexLock lock(mutex_);
   ++stats_.probes;
@@ -27,7 +30,7 @@ bool ResultCache::Probe(const ResultCacheKey& key, std::vector<ChunkData>* out) 
   }
   ++stats_.hits;
   it->second.clock_value = ReplacementPolicy::NormalizedWeight(it->second.benefit);
-  *out = it->second.chunks;  // copy under the lock; the caller owns it
+  *out = it->second.chunks;  // refs only; the cells are shared, not copied
   return true;
 }
 
@@ -43,30 +46,32 @@ namespace {
 // kept — invalidation maps base writes onto it — and a hit's RefineResult
 // rows are bit-identical to a cold fold's, because RefineResult filters
 // with exactly this predicate. Trimming is what makes dashboard-tile
-// entries small: a tile slicing 10% of each covering chunk stores 10% of
-// the bytes the chunk cache would re-copy on every repeat.
-std::vector<ChunkData> TrimToKey(const ResultCacheKey& key,
-                                 const std::vector<ChunkData>& chunks) {
+// entries small: a tile slicing 10% of each covering chunk charges 10% of
+// the chunk's bytes. A chunk the key covers whole keeps the caller's ref.
+std::vector<ChunkRef> TrimToKey(const ResultCacheKey& key,
+                                const std::vector<ChunkRef>& chunks) {
   const int nd = key.level.size();
-  std::vector<ChunkData> out;
-  out.reserve(chunks.size());
-  for (const ChunkData& data : chunks) {
-    ChunkData trimmed;
-    trimmed.gb = data.gb;
-    trimmed.chunk = data.chunk;
-    for (const Cell& cell : data.cells) {
-      bool inside = true;
-      for (int d = 0; d < nd; ++d) {
-        const auto [lo, hi] = key.ranges[static_cast<size_t>(d)];
-        const int32_t v = cell.values[static_cast<size_t>(d)];
-        if (v < lo || v >= hi) {
-          inside = false;
-          break;
-        }
-      }
-      if (inside) trimmed.cells.push_back(cell);
+  auto inside = [&](const Cell& cell) {
+    for (int d = 0; d < nd; ++d) {
+      const auto [lo, hi] = key.ranges[static_cast<size_t>(d)];
+      const int32_t v = cell.values[static_cast<size_t>(d)];
+      if (v < lo || v >= hi) return false;
     }
-    out.push_back(std::move(trimmed));
+    return true;
+  };
+  std::vector<ChunkRef> out;
+  out.reserve(chunks.size());
+  for (const ChunkRef& data : chunks) {
+    if (std::all_of(data->cells.begin(), data->cells.end(), inside)) {
+      out.push_back(data);
+      continue;
+    }
+    ChunkData trimmed;
+    trimmed.gb = data->gb;
+    trimmed.chunk = data->chunk;
+    std::copy_if(data->cells.begin(), data->cells.end(),
+                 std::back_inserter(trimmed.cells), inside);
+    out.push_back(std::make_shared<const ChunkData>(std::move(trimmed)));
   }
   return out;
 }
@@ -74,16 +79,16 @@ std::vector<ChunkData> TrimToKey(const ResultCacheKey& key,
 }  // namespace
 
 bool ResultCache::MaybeAdmit(const ResultCacheKey& key, GroupById gb,
-                             const std::vector<ChunkData>& chunks,
+                             const std::vector<ChunkRef>& chunks,
                              double cost_tuples) {
-  std::vector<ChunkData> answer = TrimToKey(key, chunks);
+  std::vector<ChunkRef> answer = TrimToKey(key, chunks);
   int64_t bytes = 0;
   std::vector<ChunkId> ids;
   ids.reserve(answer.size());
-  for (const ChunkData& data : answer) {
-    AAC_DCHECK_EQ(data.gb, gb);
-    bytes += data.LogicalBytes(config_.bytes_per_tuple);
-    ids.push_back(data.chunk);
+  for (const ChunkRef& data : answer) {
+    AAC_DCHECK_EQ(data->gb, gb);
+    bytes += data->LogicalBytes(config_.bytes_per_tuple);
+    ids.push_back(data->chunk);
   }
   std::sort(ids.begin(), ids.end());
 
@@ -269,9 +274,9 @@ bool ResultCache::ValidateInvariants() const {
   for (const auto& [key, entry] : entries_) {
     if (*entry.ring_pos != key) return false;
     int64_t entry_bytes = 0;
-    for (const ChunkData& data : entry.chunks) {
-      if (data.gb != entry.gb) return false;
-      entry_bytes += data.LogicalBytes(config_.bytes_per_tuple);
+    for (const ChunkRef& data : entry.chunks) {
+      if (data->gb != entry.gb) return false;
+      entry_bytes += data->LogicalBytes(config_.bytes_per_tuple);
     }
     if (entry_bytes != entry.bytes) return false;
     if (!std::is_sorted(entry.chunk_ids.begin(), entry.chunk_ids.end()))

@@ -93,7 +93,9 @@ struct ResultCacheStats {
 ///    every entry built over that (group-by, chunk). OnInsert/OnEvict are
 ///    ignored: membership changes don't alter what cached answers mean.
 ///
-/// Concurrency: one mutex guards all state; Probe copies under the lock.
+/// Concurrency: one mutex guards all state. Stored chunks are immutable
+/// `ChunkRef`s, so Probe hands out refs under the lock instead of copying
+/// cells, and a probed answer outlives the entry's invalidation.
 /// OnUpdate arrives while a chunk-cache shard lock is held, extending the
 /// global lock order to "cache shard -> result cache"; this class never
 /// calls into the chunk cache, so the order cannot invert.
@@ -117,10 +119,10 @@ class ResultCache : public CacheListener {
 
   int64_t capacity_bytes() const { return config_.capacity_bytes; }
 
-  /// Looks up the canonical key; on a hit copies the stored chunk-aligned
-  /// answer into `*out` and refreshes the entry's clock value. Counts a
-  /// probe plus a hit or miss.
-  bool Probe(const ResultCacheKey& key, std::vector<ChunkData>* out);
+  /// Looks up the canonical key; on a hit stores refs to the stored
+  /// chunk-aligned answer in `*out` and refreshes the entry's clock value.
+  /// Counts a probe plus a hit or miss.
+  bool Probe(const ResultCacheKey& key, std::vector<ChunkRef>* out);
 
   /// True when an answer for `key` is cached. Read-only: counts no probe,
   /// hit or miss and leaves the entry's clock value alone, so EXPLAIN can
@@ -133,11 +135,12 @@ class ResultCache : public CacheListener {
   /// otherwise evicts CLOCK victims until the answer fits. Cells outside
   /// the key's value ranges are trimmed before storing (RefineResult's
   /// predicate), so byte accounting charges the answer, not the covering
-  /// chunks. Admitting over an existing key replaces the stored answer in
+  /// chunks; a chunk that loses no cell is stored as the caller's ref,
+  /// uncopied. Admitting over an existing key replaces the stored answer in
   /// place. Every chunk must belong to group-by `gb` (one query folds at
   /// one group-by). Returns true if the answer is cached on exit.
   bool MaybeAdmit(const ResultCacheKey& key, GroupById gb,
-                  const std::vector<ChunkData>& chunks, double cost_tuples);
+                  const std::vector<ChunkRef>& chunks, double cost_tuples);
 
   /// Drops every entry whose answer derives from any of `base_chunks` (base
   /// group-by chunk ids), via the same closure-property mapping the chunk
@@ -169,7 +172,7 @@ class ResultCache : public CacheListener {
  private:
   struct Entry {
     GroupById gb = -1;
-    std::vector<ChunkData> chunks;
+    std::vector<ChunkRef> chunks;
     /// Chunk ids of `chunks`, sorted, for invalidation membership tests.
     std::vector<ChunkId> chunk_ids;
     int64_t bytes = 0;

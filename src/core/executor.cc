@@ -37,15 +37,16 @@ ChunkData PlanExecutor::ExecuteNode(const PlanNode& node,
                                     ExecutionResult* result,
                                     std::vector<CacheKey>* pinned, bool* ok) {
   if (node.cached) {
-    // Root-level cached chunk: hand back a copy. A miss here means the plan
-    // went stale since lookup — report failure instead of aborting.
-    ChunkData copy;
-    if (!cache_->GetCopy(node.key, &copy)) {
+    // Root-level cached chunk: hand back a copy (the engine reads direct
+    // chunks itself and never executes such a plan). A miss here means the
+    // plan went stale since lookup — report failure instead of aborting.
+    ChunkRef cached = cache_->GetRef(node.key);
+    if (cached == nullptr) {
       *ok = false;
       return {};
     }
     result->cached_inputs.push_back(node.key);
-    return copy;
+    return *cached;
   }
 
   // Materialize inputs: cached ones are read in place (pinned), computed

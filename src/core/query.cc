@@ -97,27 +97,45 @@ std::vector<ChunkId> ChunksForQuery(const ChunkGrid& grid, const Query& query) {
   return out;
 }
 
+namespace {
+
+// The one row loop behind both RefineResult overloads.
+void AppendRefinedRows(int nd, const Query& query, const ChunkData& chunk,
+                       std::vector<ResultRow>* rows) {
+  for (const Cell& cell : chunk.cells) {
+    bool inside = true;
+    for (int d = 0; d < nd; ++d) {
+      const auto [lo, hi] = query.ranges[static_cast<size_t>(d)];
+      const int32_t v = cell.values[static_cast<size_t>(d)];
+      if (v < lo || v >= hi) {
+        inside = false;
+        break;
+      }
+    }
+    if (!inside) continue;
+    ResultRow row;
+    row.values = cell.values;
+    row.value = CellValue(cell, query.fn);
+    rows->push_back(row);
+  }
+}
+
+}  // namespace
+
 std::vector<ResultRow> RefineResult(const Schema& schema, const Query& query,
                                     const std::vector<ChunkData>& chunks) {
   std::vector<ResultRow> rows;
-  const int nd = schema.num_dims();
   for (const ChunkData& chunk : chunks) {
-    for (const Cell& cell : chunk.cells) {
-      bool inside = true;
-      for (int d = 0; d < nd; ++d) {
-        const auto [lo, hi] = query.ranges[static_cast<size_t>(d)];
-        const int32_t v = cell.values[static_cast<size_t>(d)];
-        if (v < lo || v >= hi) {
-          inside = false;
-          break;
-        }
-      }
-      if (!inside) continue;
-      ResultRow row;
-      row.values = cell.values;
-      row.value = CellValue(cell, query.fn);
-      rows.push_back(row);
-    }
+    AppendRefinedRows(schema.num_dims(), query, chunk, &rows);
+  }
+  return rows;
+}
+
+std::vector<ResultRow> RefineResult(const Schema& schema, const Query& query,
+                                    const std::vector<ChunkRef>& chunks) {
+  std::vector<ResultRow> rows;
+  for (const ChunkRef& chunk : chunks) {
+    AppendRefinedRows(schema.num_dims(), query, *chunk, &rows);
   }
   return rows;
 }

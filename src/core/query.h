@@ -97,6 +97,10 @@ struct ResultRow {
 std::vector<ResultRow> RefineResult(const Schema& schema, const Query& query,
                                     const std::vector<ChunkData>& chunks);
 
+/// Same, over shared chunks (a QueryResult's answer).
+std::vector<ResultRow> RefineResult(const Schema& schema, const Query& query,
+                                    const std::vector<ChunkRef>& chunks);
+
 }  // namespace aac
 
 #endif  // AAC_CORE_QUERY_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "cache/replacement.h"
@@ -209,7 +210,7 @@ std::string QueryEngine::ExplainQuery(const Query& query) {
 
 std::vector<ChunkId> QueryEngine::FetchWithRetry(GroupById gb,
                                                  std::vector<ChunkId> pending,
-                                                 std::vector<ChunkData>* fetched,
+                                                 std::vector<ChunkRef>* fetched,
                                                  ExecContext* ctx,
                                                  QueryStats* stats) {
   QueryStats& s = *stats;
@@ -244,7 +245,7 @@ std::vector<ChunkId> QueryEngine::FetchWithRetry(GroupById gb,
         auto it = std::find(pending.begin(), pending.end(), data.chunk);
         AAC_CHECK(it != pending.end());
         pending.erase(it);
-        fetched->push_back(std::move(data));
+        fetched->push_back(std::make_shared<const ChunkData>(std::move(data)));
       }
       if (pending.empty()) break;
       // Partial result: the backend responded, so re-ask for the remainder
@@ -320,8 +321,8 @@ struct QueryEngine::ExecState {
   };
   std::vector<ComputedInfo> computed{};
   bool aborted = false;
-  std::vector<ChunkData> backend_results{};    // fetched by this query
-  std::vector<ChunkData> coalesced_results{};  // another query's fetch
+  std::vector<ChunkRef> backend_results{};    // fetched by this query
+  std::vector<ChunkRef> coalesced_results{};  // another query's fetch
   int64_t admitted = 0;
   // Scan-tuple equivalents of this query's backend work, part of the
   // recompute cost a future result-cache hit would save.
@@ -367,7 +368,7 @@ QueryResult QueryEngine::ExecuteQuery(const Query& query, ExecContext* ctx,
     Stopwatch probe_timer;
     result_key = CanonicalResultKey(grid_->schema(), query);
     s.result_cache_probed = true;
-    std::vector<ChunkData> cached_answer;
+    std::vector<ChunkRef> cached_answer;
     if (result_cache_->Probe(result_key, &cached_answer)) {
       s.result_cache_hit = true;
       s.complete_hit = true;
@@ -411,7 +412,7 @@ void QueryEngine::ReadAndFold(const QueryPlan& plan, ExecState* st) {
 
   // --- Aggregation phase: answer cached/computable chunks. ---
   Stopwatch agg_timer;
-  std::vector<ChunkData>& results = st->result.chunks;
+  std::vector<ChunkRef>& results = st->result.chunks;
   results.reserve(plan.chunks.size());
   // Arm cooperative cancellation for the fold kernels: checkpoints fire
   // every few thousand cells, and an aborted fold emits nothing (pins
@@ -436,9 +437,8 @@ void QueryEngine::ReadAndFold(const QueryPlan& plan, ExecState* st) {
       continue;
     }
     if (node.cached) {
-      ChunkData copy;
-      if (cache_->GetCopy(node.key, &copy)) {
-        results.push_back(std::move(copy));
+      if (ChunkRef ref = cache_->GetRef(node.key)) {
+        results.push_back(std::move(ref));
         ++s.chunks_direct;
       } else {
         // Plans are advisory under concurrency: the chunk was evicted
@@ -466,7 +466,7 @@ void QueryEngine::ReadAndFold(const QueryPlan& plan, ExecState* st) {
     s.fold_ns += exec.fold_ns;
     st->computed.push_back(ExecState::ComputedInfo{
         results.size(), exec.tuples_aggregated, std::move(exec.cached_inputs)});
-    results.push_back(std::move(exec.data));
+    results.push_back(std::make_shared<const ChunkData>(std::move(exec.data)));
     ++s.chunks_aggregated;
   }
   aggregator_.set_exec_context(nullptr);
@@ -507,9 +507,12 @@ void QueryEngine::PromoteFromWarmTier(ExecState* st) {
       ++s.chunks_warm;
     }
     // Promote: the hot insert's demotion hooks purge the warm/disk copy,
-    // so the chunk is resident in exactly one tier again.
-    cache_->Insert(probe.data, probe.info.benefit, probe.info.source);
-    st->result.chunks.push_back(std::move(probe.data));
+    // so the chunk is resident in exactly one tier again. The cache and
+    // the answer share the decoded chunk.
+    ChunkRef promoted =
+        std::make_shared<const ChunkData>(std::move(probe.data));
+    cache_->Insert(promoted, probe.info.benefit, probe.info.source);
+    st->result.chunks.push_back(std::move(promoted));
   }
   st->missing = std::move(still_missing);
   s.aggregation_ms += promote_timer.ElapsedMillis();
@@ -557,15 +560,15 @@ void QueryEngine::Fetch(ExecState* st) {
       // leading/following each other's chunks cannot deadlock.
       std::vector<ChunkId> failed =
           FetchWithRetry(gb, lead, &st->backend_results, ctx, &s);
-      for (const ChunkData& data : st->backend_results) {
-        single_flight_->Publish(CacheKey{gb, data.chunk}, data);
+      for (const ChunkRef& data : st->backend_results) {
+        single_flight_->Publish(CacheKey{gb, data->chunk}, data);
       }
       for (ChunkId chunk : failed) {
         single_flight_->Fail(CacheKey{gb, chunk});
       }
       std::vector<ChunkId> retry_self;
       for (auto& [chunk, slot] : follow) {
-        ChunkData data;
+        ChunkRef data;
         switch (single_flight_->AwaitWithDeadline(*slot, *ctx, &data)) {
           case SingleFlight::AwaitStatus::kOk:
             ++s.chunks_coalesced;
@@ -604,7 +607,7 @@ void QueryEngine::AdmitChunks(ExecState* st) {
   // already paid for (salvage: the aborted query still warms the cache for
   // its successors). ---
   const GroupById gb = st->gb;
-  std::vector<ChunkData>& results = st->result.chunks;
+  std::vector<ChunkRef>& results = st->result.chunks;
   Stopwatch update_timer;
   if (config_.cache_computed_results || config_.boost_groups) {
     for (const ExecState::ComputedInfo& info : st->computed) {
@@ -625,8 +628,8 @@ void QueryEngine::AdmitChunks(ExecState* st) {
     // Only chunks this query fetched itself are inserted: for coalesced
     // chunks the leading query already inserted them, and re-inserting
     // would just churn the replacement state.
-    for (ChunkData& data : st->backend_results) {
-      const double benefit = benefit_->BackendChunkBenefit(gb, data.chunk);
+    for (const ChunkRef& data : st->backend_results) {
+      const double benefit = benefit_->BackendChunkBenefit(gb, data->chunk);
       cache_->Insert(data, benefit, ChunkSource::kBackend);
       ++st->admitted;
     }
@@ -636,20 +639,20 @@ void QueryEngine::AdmitChunks(ExecState* st) {
   // The backend share of the result's recompute cost is tallied before the
   // fetched chunks are moved into the answer.
   if (result_cache_ != nullptr) {
-    for (const ChunkData& data : st->backend_results) {
+    for (const ChunkRef& data : st->backend_results) {
       st->backend_cost_tuples +=
-          benefit_->BackendRecomputeTuples(gb, data.chunk);
+          benefit_->BackendRecomputeTuples(gb, data->chunk);
     }
-    for (const ChunkData& data : st->coalesced_results) {
+    for (const ChunkRef& data : st->coalesced_results) {
       st->backend_cost_tuples +=
-          benefit_->BackendRecomputeTuples(gb, data.chunk);
+          benefit_->BackendRecomputeTuples(gb, data->chunk);
     }
   }
 
-  for (ChunkData& data : st->backend_results) {
+  for (ChunkRef& data : st->backend_results) {
     results.push_back(std::move(data));
   }
-  for (ChunkData& data : st->coalesced_results) {
+  for (ChunkRef& data : st->coalesced_results) {
     results.push_back(std::move(data));
   }
 }

@@ -140,10 +140,12 @@ struct QueryStats {
 /// superset of the query ranges) plus the ids of requested chunks the
 /// engine could not answer because the backend was unreachable and the
 /// cache could not compute them. A healthy backend path never leaves
-/// chunks unavailable.
+/// chunks unavailable. The chunks are shared with the caches that hold
+/// them (a direct hit is the hot cache's own chunk), so they stay valid
+/// however the caches change afterwards.
 struct QueryResult {
   ResultStatus status = ResultStatus::kOk;
-  std::vector<ChunkData> chunks;
+  std::vector<ChunkRef> chunks;
   std::vector<ChunkId> unavailable;
 
   /// Not meaningful for kShedded: a shed query carries no chunks at all
@@ -375,7 +377,7 @@ class QueryEngine {
   /// fetched remain in the returned vector.
   std::vector<ChunkId> FetchWithRetry(GroupById gb,
                                       std::vector<ChunkId> missing,
-                                      std::vector<ChunkData>* fetched,
+                                      std::vector<ChunkRef>* fetched,
                                       ExecContext* ctx, QueryStats* s);
 
   const ChunkGrid* grid_;

@@ -1,6 +1,7 @@
 #include "core/single_flight.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
@@ -24,11 +25,11 @@ std::shared_ptr<SingleFlight::Slot> SingleFlight::Take(const CacheKey& key) {
   return slot;
 }
 
-void SingleFlight::Publish(const CacheKey& key, const ChunkData& data) {
+void SingleFlight::Publish(const CacheKey& key, ChunkRef data) {
   std::shared_ptr<Slot> slot = Take(key);
   {
     MutexLock lock(slot->mutex);
-    slot->data = data;
+    slot->data = std::move(data);
     slot->ok = true;
     slot->done = true;
   }
@@ -45,7 +46,7 @@ void SingleFlight::Fail(const CacheKey& key) {
   slot->cv.NotifyAll();
 }
 
-bool SingleFlight::Await(Slot& slot, ChunkData* out) {
+bool SingleFlight::Await(Slot& slot, ChunkRef* out) {
   MutexLock lock(slot.mutex);
   while (!slot.done) slot.cv.Wait(slot.mutex);
   if (!slot.ok) return false;
@@ -55,7 +56,7 @@ bool SingleFlight::Await(Slot& slot, ChunkData* out) {
 }
 
 SingleFlight::AwaitStatus SingleFlight::AwaitWithDeadline(
-    Slot& slot, const ExecContext& ctx, ChunkData* out) {
+    Slot& slot, const ExecContext& ctx, ChunkRef* out) {
   // Cancel tokens have no wakeup channel of their own, so a token-only
   // context polls at this granularity. Deadline-bearing contexts wake
   // exactly at expiry (or earlier, on publish).

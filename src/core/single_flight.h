@@ -48,23 +48,24 @@ class SingleFlight {
     CondVar cv;
     bool done AAC_GUARDED_BY(mutex) = false;
     bool ok AAC_GUARDED_BY(mutex) = false;
-    ChunkData data AAC_GUARDED_BY(mutex);
+    ChunkRef data AAC_GUARDED_BY(mutex);
   };
 
   /// Returns nullptr if the caller became the leader for `key` (and must
   /// later Publish or Fail it), otherwise the slot to Await.
   std::shared_ptr<Slot> JoinOrLead(const CacheKey& key);
 
-  /// Leader: publishes the fetched chunk to all followers of `key`.
-  void Publish(const CacheKey& key, const ChunkData& data);
+  /// Leader: publishes the fetched chunk to all followers of `key`; every
+  /// follower receives this same ref.
+  void Publish(const CacheKey& key, ChunkRef data);
 
   /// Leader: wakes all followers of `key` with a failure.
   void Fail(const CacheKey& key);
 
   /// Follower: blocks until the leader resolves the slot. Returns true and
-  /// copies the chunk into `*out` on success (counted in coalesced()),
-  /// false on leader failure.
-  bool Await(Slot& slot, ChunkData* out);
+  /// stores the leader's chunk in `*out` on success (counted in
+  /// coalesced()), false on leader failure.
+  bool Await(Slot& slot, ChunkRef* out);
 
   /// How AwaitWithDeadline resolved.
   enum class AwaitStatus {
@@ -83,7 +84,7 @@ class SingleFlight {
   /// state: the slot is shared_ptr-owned, and Publish/Fail never care how
   /// many followers are still listening.
   AwaitStatus AwaitWithDeadline(Slot& slot, const ExecContext& ctx,
-                                ChunkData* out);
+                                ChunkRef* out);
 
   /// Fetches answered by another thread's backend call (coalesced waits
   /// that received data).

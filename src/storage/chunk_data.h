@@ -2,6 +2,7 @@
 #define AAC_STORAGE_CHUNK_DATA_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "chunks/chunk_grid.h"
@@ -27,6 +28,13 @@ struct ChunkData {
     return tuple_count() * bytes_per_tuple;
   }
 };
+
+/// A chunk shared read-only between the cache tiers and query answers.
+/// Once wrapped, a ChunkData is never mutated: every holder (a hot-cache
+/// entry, a result-cache entry, a single-flight slot, a QueryResult) reads
+/// the same cells, and the last holder to drop its ref frees them. Callers
+/// that need a mutable chunk copy `*ref`.
+using ChunkRef = std::shared_ptr<const ChunkData>;
 
 /// Sorts cells by value ids and merges cells with duplicate coordinates
 /// (cell-wise aggregate merge), so a canonical chunk has exactly one cell

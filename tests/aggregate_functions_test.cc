@@ -67,7 +67,8 @@ class AggregateFunctionsTest : public ::testing::Test {
   }
 
   void CheckAllFunctions(Query q) {
-    std::vector<ChunkData> chunks = engine_->ExecuteQuery(q, nullptr).chunks;
+    std::vector<ChunkData> chunks =
+        CopyChunks(engine_->ExecuteQuery(q, nullptr).chunks);
     auto oracle = OracleRows(env_, q);
     for (AggregateFunction fn :
          {AggregateFunction::kSum, AggregateFunction::kCount,
@@ -131,7 +132,8 @@ TEST_F(AggregateFunctionsTest, RefineFiltersToExactRanges) {
   Query q = Query::WholeLevel(env_.schema(), env_.schema().base_level());
   q.ranges[0] = {2, 5};  // cuts across chunk boundaries (chunks of 3)
   q.ranges[1] = {1, 6};
-  std::vector<ChunkData> chunks = engine_->ExecuteQuery(q, nullptr).chunks;
+  std::vector<ChunkData> chunks =
+      CopyChunks(engine_->ExecuteQuery(q, nullptr).chunks);
   std::vector<ResultRow> rows = RefineResult(env_.schema(), q, chunks);
   for (const ResultRow& row : rows) {
     EXPECT_GE(row.values[0], 2);

@@ -56,7 +56,8 @@ TEST_F(BypassTest, AbsurdlySlowCacheBypassesEverything) {
   Setup(config);
   Query q = Query::WholeLevel(env_.schema(), LevelVector{0, 0});
   QueryStats stats;
-  std::vector<ChunkData> result = engine_->ExecuteQuery(q, &stats).chunks;
+  std::vector<ChunkData> result =
+      CopyChunks(engine_->ExecuteQuery(q, &stats).chunks);
   EXPECT_GT(stats.chunks_bypassed, 0);
   EXPECT_EQ(stats.chunks_aggregated, 0);
   EXPECT_EQ(stats.chunks_backend, stats.chunks_bypassed);
@@ -109,7 +110,8 @@ TEST_F(BypassTest, RandomStreamStaysCorrectWithBypass) {
         rng.Uniform(env_.lattice().num_groupbys()));
     Query q = Query::WholeLevel(env_.schema(), env_.lattice().LevelOf(gb));
     QueryStats stats;
-    std::vector<ChunkData> got = engine_->ExecuteQuery(q, &stats).chunks;
+    std::vector<ChunkData> got =
+        CopyChunks(engine_->ExecuteQuery(q, &stats).chunks);
     bypassed += stats.chunks_bypassed;
     aggregated += stats.chunks_aggregated;
     std::vector<ChunkData> want =

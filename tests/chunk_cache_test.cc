@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "cache/chunk_cache.h"
@@ -227,12 +230,12 @@ TEST_F(ChunkCacheTest, BoostFarBeyondBudgetStillInserts) {
   EXPECT_TRUE(cache_.Contains({2, 0}));
 }
 
-TEST_F(ChunkCacheTest, GetCopyAndGetPinnedAgreeWithGet) {
+TEST_F(ChunkCacheTest, GetRefAndGetPinnedAgreeWithGet) {
   cache_.Insert(MakeChunk(1, 2, 3), 5.0, ChunkSource::kBackend);
-  ChunkData copy;
-  ASSERT_TRUE(cache_.GetCopy({1, 2}, &copy));
-  EXPECT_EQ(copy.tuple_count(), 3);
-  EXPECT_FALSE(cache_.GetCopy({9, 9}, &copy));
+  ChunkRef ref = cache_.GetRef({1, 2});
+  ASSERT_NE(ref, nullptr);
+  EXPECT_EQ(ref->tuple_count(), 3);
+  EXPECT_EQ(cache_.GetRef({9, 9}), nullptr);
   const ChunkData* pinned = cache_.GetPinned({1, 2});
   ASSERT_NE(pinned, nullptr);
   EXPECT_EQ(pinned->tuple_count(), 3);
@@ -240,6 +243,93 @@ TEST_F(ChunkCacheTest, GetCopyAndGetPinnedAgreeWithGet) {
   EXPECT_EQ(cache_.GetPinned({9, 9}), nullptr);
   EXPECT_EQ(cache_.stats().hits, 2);
   EXPECT_EQ(cache_.stats().misses, 2);
+}
+
+// Demotion sink that keeps every chunk it is handed.
+class KeepingSink : public DemotionSink {
+ public:
+  void OnDemote(const CacheEntryInfo& info, ChunkData&& data) override {
+    (void)info;
+    demoted.push_back(std::move(data));
+  }
+  void OnErase(const CacheKey& key) override { (void)key; }
+  std::vector<ChunkData> demoted;
+};
+
+// Same key and bit-identical cells.
+bool SameBits(const ChunkData& a, const ChunkData& b) {
+  return a.gb == b.gb && a.chunk == b.chunk &&
+         a.cells.size() == b.cells.size() &&
+         std::memcmp(a.cells.data(), b.cells.data(),
+                     a.cells.size() * sizeof(Cell)) == 0;
+}
+
+TEST_F(ChunkCacheTest, InsertedRefIsSharedNotCopied) {
+  ChunkRef mine = std::make_shared<const ChunkData>(MakeChunk(1, 2, 3));
+  ASSERT_TRUE(cache_.Insert(mine, 5.0, ChunkSource::kBackend));
+  EXPECT_EQ(cache_.GetRef({1, 2}).get(), mine.get());
+  EXPECT_EQ(cache_.Peek({1, 2}), mine.get());
+  EXPECT_EQ(cache_.bytes_used(), 30);
+}
+
+// A GetRef result is the reader's own: whatever happens to the entry
+// afterwards, the cells it sees stay bit-identical.
+TEST_F(ChunkCacheTest, RefSurvivesReplaceInPlace) {
+  ASSERT_TRUE(cache_.Insert(MakeChunk(1, 2, 3), 5.0, ChunkSource::kBackend));
+  ChunkRef ref = cache_.GetRef({1, 2});
+  ASSERT_NE(ref, nullptr);
+  const ChunkData before = *ref;
+  ChunkData fresh = MakeChunk(1, 2, 4);
+  for (Cell& c : fresh.cells) c.measure += 100.0;
+  ASSERT_TRUE(cache_.Insert(std::move(fresh), 5.0, ChunkSource::kBackend));
+  EXPECT_TRUE(SameBits(*ref, before));
+  ChunkRef now = cache_.GetRef({1, 2});
+  ASSERT_NE(now, nullptr);
+  EXPECT_NE(now.get(), ref.get());
+  EXPECT_EQ(now->tuple_count(), 4);
+  EXPECT_TRUE(cache_.ValidateInvariants());
+}
+
+TEST_F(ChunkCacheTest, RefSurvivesEvictionWithoutASink) {
+  ASSERT_TRUE(cache_.Insert(MakeChunk(1, 0, 6), 1.0, ChunkSource::kBackend));
+  ChunkRef ref = cache_.GetRef({1, 0});
+  ASSERT_NE(ref, nullptr);
+  const ChunkData before = *ref;
+  // 6 + 6 tuples exceed the 10-tuple capacity: the insert evicts (1, 0).
+  ASSERT_TRUE(cache_.Insert(MakeChunk(2, 0, 6), 1.0, ChunkSource::kBackend));
+  ASSERT_FALSE(cache_.Contains({1, 0}));
+  EXPECT_EQ(cache_.stats().evictions, 1);
+  EXPECT_TRUE(SameBits(*ref, before));
+  EXPECT_TRUE(cache_.ValidateInvariants());
+}
+
+TEST_F(ChunkCacheTest, RefSurvivesEvictionIntoADemotionSink) {
+  KeepingSink sink;
+  cache_.set_demotion_sink(&sink);
+  ASSERT_TRUE(cache_.Insert(MakeChunk(1, 0, 6), 1.0, ChunkSource::kBackend));
+  ChunkRef ref = cache_.GetRef({1, 0});
+  ASSERT_NE(ref, nullptr);
+  const ChunkData before = *ref;
+  ASSERT_TRUE(cache_.Insert(MakeChunk(2, 0, 6), 1.0, ChunkSource::kBackend));
+  ASSERT_FALSE(cache_.Contains({1, 0}));
+  ASSERT_EQ(sink.demoted.size(), 1u);
+  EXPECT_EQ(cache_.stats().demotions, 1);
+  // The sink owns a copy; the reader's ref is untouched by the hand-off.
+  EXPECT_TRUE(SameBits(sink.demoted[0], before));
+  EXPECT_NE(sink.demoted[0].cells.data(), ref->cells.data());
+  EXPECT_TRUE(SameBits(*ref, before));
+  cache_.set_demotion_sink(nullptr);
+}
+
+TEST_F(ChunkCacheTest, RefSurvivesRemove) {
+  ASSERT_TRUE(cache_.Insert(MakeChunk(1, 2, 3), 5.0, ChunkSource::kBackend));
+  ChunkRef ref = cache_.GetRef({1, 2});
+  ASSERT_NE(ref, nullptr);
+  const ChunkData before = *ref;
+  ASSERT_TRUE(cache_.Remove({1, 2}));
+  EXPECT_EQ(cache_.GetRef({1, 2}), nullptr);
+  EXPECT_EQ(cache_.bytes_used(), 0);
+  EXPECT_TRUE(SameBits(*ref, before));
 }
 
 TEST(ShardedChunkCacheTest, ShardedCacheBasicOperations) {

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/fault_injector.h"
@@ -66,12 +69,11 @@ TEST(CacheConcurrencyTest, MixedOpsStressPreservesInvariants) {
                        rng.Bernoulli(0.5) ? ChunkSource::kBackend
                                           : ChunkSource::kCacheComputed);
         } else if (op < 0.6) {
-          ChunkData copy;
-          if (cache.GetCopy({gb, chunk}, &copy)) {
-            // The copy must be internally consistent even if the entry is
+          if (ChunkRef ref = cache.GetRef({gb, chunk})) {
+            // The ref must be internally consistent even if the entry is
             // concurrently replaced or evicted.
-            ASSERT_EQ(copy.gb, gb);
-            ASSERT_EQ(copy.chunk, chunk);
+            ASSERT_EQ(ref->gb, gb);
+            ASSERT_EQ(ref->chunk, chunk);
           }
         } else if (op < 0.7) {
           cache.Boost({gb, chunk}, rng.UniformDouble() * 100.0);
@@ -124,10 +126,9 @@ TEST(CacheConcurrencyTest, ConcurrentReplaceInPlaceKeepsOneEntry) {
       for (int i = 0; i < 2000; ++i) {
         const int tuples = 1 + static_cast<int>(rng.Uniform(9));
         cache.Insert(MakeChunk(7, 3, tuples), 1.0, ChunkSource::kBackend);
-        ChunkData copy;
-        if (cache.GetCopy({7, 3}, &copy)) {
-          ASSERT_EQ(copy.LogicalBytes(10),
-                    static_cast<int64_t>(copy.cells.size()) * 10);
+        if (ChunkRef ref = cache.GetRef({7, 3})) {
+          ASSERT_EQ(ref->LogicalBytes(10),
+                    static_cast<int64_t>(ref->cells.size()) * 10);
         }
       }
     });
@@ -138,6 +139,156 @@ TEST(CacheConcurrencyTest, ConcurrentReplaceInPlaceKeepsOneEntry) {
   const ChunkData* data = cache.Peek({7, 3});
   ASSERT_NE(data, nullptr);
   EXPECT_EQ(cache.bytes_used(), data->LogicalBytes(10));
+}
+
+// A chunk whose every cell records `version`, with a version-dependent cell
+// count, so a reader can tell a torn or mutated chunk from a whole one.
+ChunkData VersionedChunk(GroupById gb, ChunkId chunk, int version) {
+  ChunkData d;
+  d.gb = gb;
+  d.chunk = chunk;
+  for (int i = 0; i < 1 + version % 5; ++i) {
+    Cell c;
+    c.values[0] = i;
+    c.values[1] = chunk;
+    InitCellAggregates(c, static_cast<double>(version));
+    d.cells.push_back(c);
+  }
+  return d;
+}
+
+bool WholeVersionedChunk(const ChunkData& d) {
+  if (d.cells.empty()) return false;
+  const double version = d.cells[0].measure;
+  if (static_cast<int>(d.cells.size()) != 1 + static_cast<int>(version) % 5) {
+    return false;
+  }
+  for (size_t i = 0; i < d.cells.size(); ++i) {
+    const Cell& c = d.cells[i];
+    if (c.values[0] != static_cast<int32_t>(i) || c.values[1] != d.chunk ||
+        c.measure != version) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameBits(const ChunkData& a, const ChunkData& b) {
+  return a.gb == b.gb && a.chunk == b.chunk &&
+         a.cells.size() == b.cells.size() &&
+         std::memcmp(a.cells.data(), b.cells.data(),
+                     a.cells.size() * sizeof(Cell)) == 0;
+}
+
+// Counts demotions; the copies it is handed are dropped.
+class CountingSink : public DemotionSink {
+ public:
+  void OnDemote(const CacheEntryInfo& info, ChunkData&& data) override {
+    (void)info;
+    if (WholeVersionedChunk(data)) ++whole;
+    ++demoted;
+  }
+  void OnErase(const CacheKey& key) override { (void)key; }
+  std::atomic<int64_t> demoted{0};
+  std::atomic<int64_t> whole{0};
+};
+
+// Readers hold GetRef results while writers replace, remove and evict the
+// same keys: every held ref must stay whole and bit-identical to the
+// snapshot taken when it was read. Readers also pin keys the writers never
+// remove, so pins and replace-in-place interleave too. The refs still held
+// when the readers finish are checked once more after their keys have all
+// been removed.
+TEST(CacheConcurrencyTest, HeldRefsSurviveInsertRemoveEvictStorm) {
+  constexpr int kReaders = 4;
+  constexpr int kWriters = 2;
+  constexpr int kOps = 3000;
+  constexpr int kHeld = 8;
+  constexpr GroupById kPinnedGb = 2;  // inserted over, never removed
+  BenefitPolicy policy;
+  // 60 tuples of room in 4 shards: the writers' inserts keep evicting.
+  ChunkCache cache(600, 10, &policy, /*num_shards=*/4);
+  CountingSink sink;
+  cache.set_demotion_sink(&sink);
+
+  std::atomic<int64_t> refs_read{0};
+  std::atomic<int> arrived{0};
+  auto start_together = [&] {
+    ++arrived;
+    while (arrived.load() < kReaders + kWriters) std::this_thread::yield();
+  };
+  std::mutex survivors_mutex;
+  std::vector<std::pair<ChunkRef, ChunkData>> survivors;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      start_together();
+      Rng rng(static_cast<uint64_t>(w) + 500);
+      for (int i = 0; i < kOps; ++i) {
+        const GroupById gb = static_cast<GroupById>(rng.Uniform(3));
+        const ChunkId chunk = static_cast<ChunkId>(rng.Uniform(12));
+        if (gb != kPinnedGb && rng.Bernoulli(0.25)) {
+          cache.Remove({gb, chunk});
+        } else {
+          cache.Insert(VersionedChunk(gb, chunk, i * kWriters + w),
+                       static_cast<double>(rng.Uniform(50)),
+                       ChunkSource::kBackend);
+        }
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      start_together();
+      Rng rng(static_cast<uint64_t>(r) + 900);
+      std::vector<std::pair<ChunkRef, ChunkData>> held(kHeld);
+      for (int i = 0; i < kOps; ++i) {
+        const GroupById gb = static_cast<GroupById>(rng.Uniform(3));
+        const ChunkId chunk = static_cast<ChunkId>(rng.Uniform(12));
+        if (gb == kPinnedGb && rng.Bernoulli(0.3)) {
+          if (const ChunkData* pinned = cache.GetPinned({gb, chunk})) {
+            ASSERT_TRUE(WholeVersionedChunk(*pinned));
+            cache.Unpin({gb, chunk});
+          }
+          continue;
+        }
+        auto& [ref, snapshot] = held[static_cast<size_t>(i % kHeld)];
+        if (ref != nullptr) {
+          // Held across up to kHeld further reads and the writers' storm.
+          ASSERT_TRUE(SameBits(*ref, snapshot));
+        }
+        ref = cache.GetRef({gb, chunk});
+        if (ref == nullptr) continue;
+        ++refs_read;
+        ASSERT_TRUE(WholeVersionedChunk(*ref));
+        ASSERT_EQ(ref->gb, gb);
+        ASSERT_EQ(ref->chunk, chunk);
+        snapshot = *ref;
+      }
+      std::lock_guard<std::mutex> lock(survivors_mutex);
+      for (auto& entry : held) {
+        if (entry.first != nullptr) survivors.push_back(std::move(entry));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_FALSE(survivors.empty());
+  for (const auto& [ref, snapshot] : survivors) {
+    cache.Remove({ref->gb, ref->chunk});
+    EXPECT_EQ(cache.Peek({ref->gb, ref->chunk}), nullptr);
+  }
+  for (const auto& [ref, snapshot] : survivors) {
+    EXPECT_TRUE(SameBits(*ref, snapshot));
+  }
+  cache.set_demotion_sink(nullptr);
+
+  EXPECT_TRUE(cache.ValidateInvariants());
+  EXPECT_EQ(cache.TotalPinCount(), 0);
+  EXPECT_LE(cache.bytes_used(), cache.capacity_bytes());
+  // The storm really churned: refs were read and demoted copies were whole.
+  EXPECT_GT(refs_read.load(), 0);
+  EXPECT_GT(sink.demoted.load(), 0);
+  EXPECT_EQ(sink.whole.load(), sink.demoted.load());
 }
 
 // ---------------------------------------------------------------------------
@@ -161,10 +312,10 @@ TEST(SingleFlightTest, ExactlyOneLeaderAndFollowersGetPublishedData) {
       while (arrived.load() < kThreads) std::this_thread::yield();
       if (slot == nullptr) {
         ++leaders;
-        sf.Publish(key, MakeChunk(2, 5, 4));
+        sf.Publish(key, std::make_shared<const ChunkData>(MakeChunk(2, 5, 4)));
       } else {
-        ChunkData data;
-        if (sf.Await(*slot, &data) && data.tuple_count() == 4) ++followers_ok;
+        ChunkRef data;
+        if (sf.Await(*slot, &data) && data->tuple_count() == 4) ++followers_ok;
       }
     });
   }
@@ -177,6 +328,35 @@ TEST(SingleFlightTest, ExactlyOneLeaderAndFollowersGetPublishedData) {
   sf.Fail(key);
 }
 
+// Followers do not get copies: every one holds the leader's own chunk.
+TEST(SingleFlightTest, FollowersReceiveTheLeadersExactChunk) {
+  constexpr int kFollowers = 4;
+  SingleFlight sf;
+  const CacheKey key{3, 7};
+  ASSERT_EQ(sf.JoinOrLead(key), nullptr);  // this test leads
+  std::vector<std::shared_ptr<SingleFlight::Slot>> slots;
+  for (int f = 0; f < kFollowers; ++f) {
+    slots.push_back(sf.JoinOrLead(key));
+    ASSERT_NE(slots.back(), nullptr);
+  }
+  std::vector<ChunkRef> received(kFollowers);
+  std::vector<std::thread> followers;
+  for (int f = 0; f < kFollowers; ++f) {
+    followers.emplace_back([&, f] {
+      EXPECT_TRUE(sf.Await(*slots[static_cast<size_t>(f)],
+                           &received[static_cast<size_t>(f)]));
+    });
+  }
+  const ChunkRef published =
+      std::make_shared<const ChunkData>(VersionedChunk(3, 7, 4));
+  sf.Publish(key, published);
+  for (std::thread& t : followers) t.join();
+  for (const ChunkRef& got : received) {
+    EXPECT_EQ(got.get(), published.get());
+  }
+  EXPECT_EQ(sf.coalesced(), kFollowers);
+}
+
 TEST(SingleFlightTest, FailedFlightWakesFollowersEmptyHanded) {
   SingleFlight sf;
   const CacheKey key{1, 1};
@@ -184,7 +364,7 @@ TEST(SingleFlightTest, FailedFlightWakesFollowersEmptyHanded) {
   std::shared_ptr<SingleFlight::Slot> slot = sf.JoinOrLead(key);
   ASSERT_NE(slot, nullptr);
   std::thread follower([&] {
-    ChunkData data;
+    ChunkRef data;
     EXPECT_FALSE(sf.Await(*slot, &data));
   });
   sf.Fail(key);
@@ -197,7 +377,7 @@ TEST(SingleFlightTest, DistinctKeysAreIndependentFlights) {
   EXPECT_EQ(sf.JoinOrLead({1, 1}), nullptr);
   EXPECT_EQ(sf.JoinOrLead({1, 2}), nullptr);  // different chunk: own flight
   EXPECT_NE(sf.JoinOrLead({1, 1}), nullptr);
-  sf.Publish({1, 1}, MakeChunk(1, 1, 1));
+  sf.Publish({1, 1}, std::make_shared<const ChunkData>(MakeChunk(1, 1, 1)));
   sf.Fail({1, 2});
 }
 

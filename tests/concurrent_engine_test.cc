@@ -39,7 +39,8 @@ class ConcurrentEngineTest : public ::testing::Test {
 TEST_F(ConcurrentEngineTest, SingleThreadBehavesLikePlainEngine) {
   Query q = Query::WholeLevel(env_.schema(), LevelVector{1, 1});
   QueryStats stats;
-  std::vector<ChunkData> result = concurrent_->ExecuteQuery(q, &stats).chunks;
+  std::vector<ChunkData> result =
+      CopyChunks(concurrent_->ExecuteQuery(q, &stats).chunks);
   EXPECT_EQ(result.size(), static_cast<size_t>(stats.chunks_requested));
   EXPECT_EQ(concurrent_->queries_executed(), 1);
 }
@@ -59,7 +60,8 @@ TEST_F(ConcurrentEngineTest, ManyThreadsManyQueriesAllCorrect) {
             rng.Uniform(env_.lattice().num_groupbys()));
         Query q = Query::WholeLevel(env_.schema(),
                                     env_.lattice().LevelOf(gb));
-        std::vector<ChunkData> got = concurrent_->ExecuteQuery(q, nullptr).chunks;
+        std::vector<ChunkData> got =
+            CopyChunks(concurrent_->ExecuteQuery(q, nullptr).chunks);
         std::vector<ChunkData> want =
             oracle.ExecuteChunkQuery(gb, ChunksForQuery(env_.grid(), q)).chunks;
         if (got.size() != want.size()) {

@@ -243,7 +243,7 @@ TEST(SingleFlightDeadline, FollowerDetachesWhenItsDeadlineFiresFirst) {
 
   ExecContext ctx;
   ctx.deadline = Deadline::AfterNanos(2'000'000);  // 2 ms
-  ChunkData out;
+  ChunkRef out;
   EXPECT_EQ(sf.AwaitWithDeadline(*slot, ctx, &out),
             SingleFlight::AwaitStatus::kDeadline);
   EXPECT_EQ(sf.detached(), 1);
@@ -253,11 +253,12 @@ TEST(SingleFlightDeadline, FollowerDetachesWhenItsDeadlineFiresFirst) {
   ChunkData data;
   data.gb = 0;
   data.chunk = 0;
-  sf.Publish(key, data);
+  sf.Publish(key, std::make_shared<const ChunkData>(data));
   ExecContext patient;
   EXPECT_EQ(sf.AwaitWithDeadline(*slot, patient, &out),
             SingleFlight::AwaitStatus::kOk);
-  EXPECT_EQ(out.chunk, 0);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->chunk, 0);
 }
 
 TEST(SingleFlightDeadline, CancelTokenUnblocksAwait) {
@@ -271,7 +272,7 @@ TEST(SingleFlightDeadline, CancelTokenUnblocksAwait) {
   token.Cancel();
   ExecContext ctx;
   ctx.cancel = &token;
-  ChunkData out;
+  ChunkRef out;
   EXPECT_EQ(sf.AwaitWithDeadline(*slot, ctx, &out),
             SingleFlight::AwaitStatus::kDeadline);
   sf.Fail(key);  // leader cleanup

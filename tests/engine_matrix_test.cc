@@ -5,6 +5,7 @@
 
 #include "workload/experiment.h"
 #include "workload/workload_runner.h"
+#include "test_util.h"
 
 namespace aac {
 namespace {
@@ -28,7 +29,9 @@ TEST_P(EngineMatrixTest, AnswersMatchGroundTruth) {
   config.strategy = strategy;
   config.policy = policy;
   config.engine.cost_based_bypass = bypass;
-  config.engine.cache_aggregation_ns_per_tuple = 2000;  // let bypass trigger
+  // Slow enough that the backend wins every computable chunk of this
+  // stream: at 2000 ns/tuple no chunk was bypassed in any configuration.
+  config.engine.cache_aggregation_ns_per_tuple = 100'000;
   config.engine.boost_groups = boost;
   config.preload = policy == PolicyKind::kTwoLevel;
   Experiment exp(config);
@@ -38,6 +41,7 @@ TEST_P(EngineMatrixTest, AnswersMatchGroundTruth) {
   stream_config.num_queries = 12;
   stream_config.seed = 31;
   QueryStreamGenerator gen(&exp.schema(), stream_config);
+  int64_t bypassed = 0;
   for (const QueryStreamEntry& entry : gen.Generate()) {
     // The plan EXPLAIN renders is the route execution takes.
     const GroupById gb = exp.lattice().IdOf(entry.query.level);
@@ -45,10 +49,11 @@ TEST_P(EngineMatrixTest, AnswersMatchGroundTruth) {
     const QueryPlan plan = exp.engine().Plan(gb, chunks);
     QueryStats stats;
     std::vector<ChunkData> got =
-        exp.engine().ExecuteQuery(entry.query, &stats).chunks;
+        CopyChunks(exp.engine().ExecuteQuery(entry.query, &stats).chunks);
     EXPECT_EQ(plan.Count(ChunkRoute::kDirect), stats.chunks_direct);
     EXPECT_EQ(plan.Count(ChunkRoute::kAggregate), stats.chunks_aggregated);
     EXPECT_EQ(plan.Count(ChunkRoute::kBypassed), stats.chunks_bypassed);
+    bypassed += stats.chunks_bypassed;
     EXPECT_EQ(plan.Count(ChunkRoute::kMissing) +
                   plan.Count(ChunkRoute::kBypassed),
               stats.chunks_backend);
@@ -65,6 +70,16 @@ TEST_P(EngineMatrixTest, AnswersMatchGroundTruth) {
           << StrategyKindName(strategy) << "/" << PolicyKindName(policy)
           << " bypass=" << bypass << " boost=" << boost;
     }
+  }
+  // The bypass dimension must really bypass: every strategy that plans
+  // aggregations (all but NoAgg, 24 of the 30 bypass-on configurations)
+  // routes some computable chunk to the backend.
+  if (bypass && strategy != StrategyKind::kNoAgg) {
+    EXPECT_GT(bypassed, 0) << StrategyKindName(strategy) << "/"
+                           << PolicyKindName(policy) << " boost=" << boost;
+  }
+  if (!bypass) {
+    EXPECT_EQ(bypassed, 0);
   }
 }
 
@@ -103,7 +118,7 @@ TEST(EngineScale, ScaleTwoCubeAnswersCorrectly) {
   QueryStreamGenerator gen(&exp.schema(), stream_config);
   for (const QueryStreamEntry& entry : gen.Generate()) {
     std::vector<ChunkData> got =
-        exp.engine().ExecuteQuery(entry.query, nullptr).chunks;
+        CopyChunks(exp.engine().ExecuteQuery(entry.query, nullptr).chunks);
     const GroupById gb = exp.lattice().IdOf(entry.query.level);
     std::vector<ChunkData> want = oracle.ExecuteChunkQuery(
         gb, ChunksForQuery(exp.grid(), entry.query)).chunks;

@@ -11,6 +11,7 @@
 #include "core/retry_policy.h"
 #include "workload/experiment.h"
 #include "workload/workload_runner.h"
+#include "test_util.h"
 
 namespace aac {
 namespace {
@@ -387,7 +388,7 @@ TEST(FaultPath, OpenBreakerServesCacheComputableChunksDegradedComplete) {
   std::vector<ChunkData> want =
       ground_truth.ExecuteChunkQuery(top, AllChunks(exp, top)).chunks;
   ASSERT_EQ(result.chunks.size(), want.size());
-  for (ChunkData& got : result.chunks) {
+  for (ChunkData& got : CopyChunks(result.chunks)) {
     auto it = std::find_if(want.begin(), want.end(), [&](const ChunkData& w) {
       return w.chunk == got.chunk;
     });
@@ -430,11 +431,12 @@ TEST(FaultPath, BypassIsSuspendedWhileTheBreakerIsOpen) {
   EXPECT_EQ(stats.backend_attempts, 0);
   EXPECT_GT(stats.chunks_aggregated, 0);
   ASSERT_EQ(degraded.chunks.size(), trusted.chunks.size());
-  for (ChunkData& got : degraded.chunks) {
+  std::vector<ChunkData> trusted_chunks = CopyChunks(trusted.chunks);
+  for (ChunkData& got : CopyChunks(degraded.chunks)) {
     auto it = std::find_if(
-        trusted.chunks.begin(), trusted.chunks.end(),
+        trusted_chunks.begin(), trusted_chunks.end(),
         [&](const ChunkData& w) { return w.chunk == got.chunk; });
-    ASSERT_NE(it, trusted.chunks.end());
+    ASSERT_NE(it, trusted_chunks.end());
     EXPECT_TRUE(ChunkDataEquals(exp.schema().num_dims(), &got, &*it));
   }
 }
@@ -496,13 +498,13 @@ TEST(FaultPath, ReturnedChunksMatchGroundTruthUnderFaults) {
 
     // returned ∪ unavailable == requested, with no overlap.
     std::vector<ChunkId> covered = result.unavailable;
-    for (const ChunkData& data : result.chunks) covered.push_back(data.chunk);
+    for (const ChunkRef& data : result.chunks) covered.push_back(data->chunk);
     std::vector<ChunkId> expected = requested;
     std::sort(covered.begin(), covered.end());
     std::sort(expected.begin(), expected.end());
     ASSERT_EQ(covered, expected) << entry.query.ToString(exp.schema());
 
-    for (ChunkData& got : result.chunks) {
+    for (ChunkData& got : CopyChunks(result.chunks)) {
       auto it =
           std::find_if(want.begin(), want.end(), [&](const ChunkData& w) {
             return w.chunk == got.chunk;
@@ -612,7 +614,7 @@ TEST(FaultPath, ThirtyPercentFaultWorkloadStaysCorrectAndWarm) {
     std::vector<ChunkData> want =
         ground_truth.ExecuteChunkQuery(gb, ChunksForQuery(faulty.grid(), q))
             .chunks;
-    for (ChunkData& data : got.chunks) {
+    for (ChunkData& data : CopyChunks(got.chunks)) {
       auto it =
           std::find_if(want.begin(), want.end(), [&](const ChunkData& w) {
             return w.chunk == data.chunk;

@@ -4,6 +4,7 @@
 
 #include "workload/experiment.h"
 #include "workload/workload_runner.h"
+#include "test_util.h"
 
 namespace aac {
 namespace {
@@ -29,7 +30,8 @@ TEST_P(IntegrationTest, ApbStreamAnswersMatchGroundTruth) {
   stream_config.seed = 17;
   QueryStreamGenerator gen(&exp.schema(), stream_config);
   for (const QueryStreamEntry& entry : gen.Generate()) {
-    std::vector<ChunkData> got = exp.engine().ExecuteQuery(entry.query, nullptr).chunks;
+    std::vector<ChunkData> got =
+        CopyChunks(exp.engine().ExecuteQuery(entry.query, nullptr).chunks);
     const GroupById gb = exp.lattice().IdOf(entry.query.level);
     std::vector<ChunkData> want = ground_truth.ExecuteChunkQuery(
         gb, ChunksForQuery(exp.grid(), entry.query)).chunks;

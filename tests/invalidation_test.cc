@@ -54,7 +54,8 @@ TEST_F(InvalidationTest, ApplyInsertsReportsAffectedChunks) {
 
 TEST_F(InvalidationTest, UpdatedMeasureVisibleAfterInvalidation) {
   Query top = Query::WholeLevel(env_.schema(), LevelVector{0, 0});
-  std::vector<ChunkData> before = engine_->ExecuteQuery(top, nullptr).chunks;
+  std::vector<ChunkData> before =
+      CopyChunks(engine_->ExecuteQuery(top, nullptr).chunks);
   double before_total = 0;
   for (const auto& chunk : before) {
     for (const Cell& c : chunk.cells) before_total += c.measure;
@@ -66,7 +67,8 @@ TEST_F(InvalidationTest, UpdatedMeasureVisibleAfterInvalidation) {
       ApplyFactUpdates(table(), env_.cache.get(), {MakeCell(3, 2, 100.0)});
   EXPECT_GT(dropped, 0);
 
-  std::vector<ChunkData> after = engine_->ExecuteQuery(top, nullptr).chunks;
+  std::vector<ChunkData> after =
+      CopyChunks(engine_->ExecuteQuery(top, nullptr).chunks);
   double after_total = 0;
   for (const auto& chunk : after) {
     for (const Cell& c : chunk.cells) after_total += c.measure;
@@ -135,7 +137,8 @@ TEST_F(InvalidationTest, StreamStaysCorrectAcrossUpdates) {
     const GroupById gb =
         static_cast<GroupById>(rng.Uniform(lat.num_groupbys()));
     Query q = Query::WholeLevel(env_.schema(), lat.LevelOf(gb));
-    std::vector<ChunkData> got = engine_->ExecuteQuery(q, nullptr).chunks;
+    std::vector<ChunkData> got =
+        CopyChunks(engine_->ExecuteQuery(q, nullptr).chunks);
     BackendServer oracle(env_.table.get(), BackendCostModel(), nullptr);
     std::vector<ChunkData> want =
         oracle.ExecuteChunkQuery(gb, ChunksForQuery(env_.grid(), q)).chunks;

@@ -332,8 +332,8 @@ TEST(SingleFlightEngineTest, LeaderFailureFallsBackWithoutLosingChunks) {
     // ground truth exactly.
     double got_sum = 0.0;
     int64_t got_count = 0;
-    for (const ChunkData& chunk : result.chunks) {
-      for (const Cell& cell : chunk.cells) {
+    for (const ChunkRef& chunk : result.chunks) {
+      for (const Cell& cell : chunk->cells) {
         got_sum += cell.measure;
         got_count += cell.count;
       }
@@ -355,8 +355,8 @@ TEST(SingleFlightEngineTest, LeaderFailureFallsBackWithoutLosingChunks) {
   EXPECT_EQ(warm_stats.chunks_backend, 0);
   double warm_sum = 0.0;
   int64_t warm_count = 0;
-  for (const ChunkData& chunk : warm.chunks) {
-    for (const Cell& cell : chunk.cells) {
+  for (const ChunkRef& chunk : warm.chunks) {
+    for (const Cell& cell : chunk->cells) {
       warm_sum += cell.measure;
       warm_count += cell.count;
     }

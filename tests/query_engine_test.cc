@@ -70,7 +70,8 @@ int64_t CountOf(const std::string& haystack, const std::string& needle) {
 TEST_F(QueryEngineTest, ColdQueryGoesToBackend) {
   Query q = Query::WholeLevel(env_.schema(), LevelVector{1, 1});
   QueryStats stats;
-  std::vector<ChunkData> result = engine_->ExecuteQuery(q, &stats).chunks;
+  std::vector<ChunkData> result =
+      CopyChunks(engine_->ExecuteQuery(q, &stats).chunks);
   EXPECT_FALSE(stats.complete_hit);
   EXPECT_EQ(stats.chunks_backend, stats.chunks_requested);
   EXPECT_GT(stats.backend_ms, 0.0);
@@ -81,7 +82,8 @@ TEST_F(QueryEngineTest, RepeatQueryIsDirectHit) {
   Query q = Query::WholeLevel(env_.schema(), LevelVector{1, 1});
   engine_->ExecuteQuery(q, nullptr);
   QueryStats stats;
-  std::vector<ChunkData> result = engine_->ExecuteQuery(q, &stats).chunks;
+  std::vector<ChunkData> result =
+      CopyChunks(engine_->ExecuteQuery(q, &stats).chunks);
   EXPECT_TRUE(stats.complete_hit);
   EXPECT_EQ(stats.chunks_direct, stats.chunks_requested);
   EXPECT_EQ(stats.chunks_backend, 0);
@@ -98,12 +100,38 @@ TEST_F(QueryEngineTest, RollUpAnsweredByAggregation) {
 
   Query roll_up = Query::WholeLevel(env_.schema(), LevelVector{0, 1});
   QueryStats stats;
-  std::vector<ChunkData> result = engine_->ExecuteQuery(roll_up, &stats).chunks;
+  std::vector<ChunkData> result =
+      CopyChunks(engine_->ExecuteQuery(roll_up, &stats).chunks);
   EXPECT_TRUE(stats.complete_hit);
   EXPECT_EQ(stats.chunks_aggregated, stats.chunks_requested);
   EXPECT_EQ(env_.backend->stats().queries, 0);
   EXPECT_GT(stats.tuples_aggregated, 0);
   ExpectMatchesOracle(std::move(result), roll_up);
+}
+
+// Answers share the cache's chunks instead of copying them: a fetched or
+// computed chunk is the very chunk the cache admitted, and a direct hit is
+// the cache's own entry.
+TEST_F(QueryEngineTest, AnswersShareTheCachedChunks) {
+  Query base_q = Query::WholeLevel(env_.schema(), env_.schema().base_level());
+  const QueryResult fetched = engine_->ExecuteQuery(base_q, nullptr);
+  ASSERT_FALSE(fetched.chunks.empty());
+  for (const ChunkRef& chunk : fetched.chunks) {
+    EXPECT_EQ(env_.cache->Peek({chunk->gb, chunk->chunk}), chunk.get());
+  }
+  Query roll_up = Query::WholeLevel(env_.schema(), LevelVector{0, 1});
+  QueryStats stats;
+  const QueryResult computed = engine_->ExecuteQuery(roll_up, &stats);
+  ASSERT_EQ(stats.chunks_aggregated, stats.chunks_requested);
+  for (const ChunkRef& chunk : computed.chunks) {
+    EXPECT_EQ(env_.cache->Peek({chunk->gb, chunk->chunk}), chunk.get());
+  }
+  const QueryResult direct = engine_->ExecuteQuery(roll_up, &stats);
+  ASSERT_EQ(stats.chunks_direct, stats.chunks_requested);
+  ASSERT_EQ(direct.chunks.size(), computed.chunks.size());
+  for (size_t i = 0; i < direct.chunks.size(); ++i) {
+    EXPECT_EQ(direct.chunks[i].get(), computed.chunks[i].get());
+  }
 }
 
 TEST_F(QueryEngineTest, ComputedChunksAreCachedForReuse) {
@@ -144,7 +172,8 @@ TEST_F(QueryEngineTest, PartialHitFetchesOnlyMissing) {
 
   Query whole = Query::WholeLevel(env_.schema(), env_.schema().base_level());
   QueryStats stats;
-  std::vector<ChunkData> result = engine_->ExecuteQuery(whole, &stats).chunks;
+  std::vector<ChunkData> result =
+      CopyChunks(engine_->ExecuteQuery(whole, &stats).chunks);
   EXPECT_FALSE(stats.complete_hit);
   EXPECT_EQ(stats.chunks_direct, 4);
   EXPECT_EQ(stats.chunks_backend, 4);
@@ -165,7 +194,8 @@ TEST_F(QueryEngineTest, MixedAggregationAndBackend) {
   // by the cached base chunks; other product chunks must hit the backend.
   Query agg = Query::WholeLevel(env_.schema(), LevelVector{2, 0});
   QueryStats stats;
-  std::vector<ChunkData> result = engine_->ExecuteQuery(agg, &stats).chunks;
+  std::vector<ChunkData> result =
+      CopyChunks(engine_->ExecuteQuery(agg, &stats).chunks);
   EXPECT_FALSE(stats.complete_hit);
   EXPECT_GT(stats.chunks_aggregated, 0);
   EXPECT_GT(stats.chunks_backend, 0);
@@ -207,7 +237,8 @@ TEST_F(QueryEngineTest, ZeroCapacityCacheDegradesToPureBackend) {
   for (int round = 0; round < 2; ++round) {
     Query q = Query::WholeLevel(env_.schema(), LevelVector{1, 1});
     QueryStats stats;
-    std::vector<ChunkData> result = engine_->ExecuteQuery(q, &stats).chunks;
+    std::vector<ChunkData> result =
+        CopyChunks(engine_->ExecuteQuery(q, &stats).chunks);
     EXPECT_FALSE(stats.complete_hit);
     EXPECT_EQ(stats.chunks_backend, stats.chunks_requested);
     ExpectMatchesOracle(std::move(result), q);
@@ -339,7 +370,8 @@ TEST_F(QueryEngineTest, SmallCacheStillAnswersCorrectly) {
   Reset(MakeSmallCube(), /*capacity=*/80);
   for (GroupById gb = 0; gb < env_.lattice().num_groupbys(); ++gb) {
     Query q = Query::WholeLevel(env_.schema(), env_.lattice().LevelOf(gb));
-    ExpectMatchesOracle(engine_->ExecuteQuery(q, nullptr).chunks, q);
+    ExpectMatchesOracle(CopyChunks(engine_->ExecuteQuery(q, nullptr).chunks),
+                        q);
   }
 }
 

@@ -50,12 +50,11 @@ TEST(ResultCacheTest, ProbeAdmitRoundTrip) {
   ResultCache rc(config);
 
   const ResultCacheKey key = MakeKey(1);
-  std::vector<ChunkData> out;
+  std::vector<ChunkRef> out;
   EXPECT_FALSE(rc.Probe(key, &out));
 
-  std::vector<ChunkData> answer;
-  answer.push_back(MakeChunk(3, 0, 4));
-  answer.push_back(MakeChunk(3, 2, 2));
+  std::vector<ChunkRef> answer =
+      ShareChunks({MakeChunk(3, 0, 4), MakeChunk(3, 2, 2)});
   EXPECT_TRUE(rc.MaybeAdmit(key, 3, answer, /*cost_tuples=*/100.0));
   EXPECT_EQ(rc.num_entries(), 1u);
   EXPECT_EQ(rc.bytes_used(), 60);  // 6 tuples * 10 bytes
@@ -63,10 +62,10 @@ TEST(ResultCacheTest, ProbeAdmitRoundTrip) {
   ASSERT_TRUE(rc.Probe(key, &out));
   ASSERT_EQ(out.size(), 2u);
   // Bit-identical copies of the stored answer.
-  EXPECT_EQ(out[0].chunk, 0);
-  EXPECT_EQ(out[1].chunk, 2);
-  EXPECT_EQ(out[0].cells.size(), 4u);
-  EXPECT_EQ(out[0].cells[3].measure, 4.0);
+  EXPECT_EQ(out[0]->chunk, 0);
+  EXPECT_EQ(out[1]->chunk, 2);
+  EXPECT_EQ(out[0]->cells.size(), 4u);
+  EXPECT_EQ(out[0]->cells[3].measure, 4.0);
 
   const ResultCacheStats stats = rc.stats();
   EXPECT_EQ(stats.probes, 2);
@@ -81,7 +80,7 @@ TEST(ResultCacheTest, CostBarRejectsCheapAnswers) {
   config.capacity_bytes = 10'000;
   config.min_admit_cost_tuples = 50.0;
   ResultCache rc(config);
-  std::vector<ChunkData> answer{MakeChunk(1, 0, 3)};
+  std::vector<ChunkRef> answer = ShareChunks({MakeChunk(1, 0, 3)});
   EXPECT_FALSE(rc.MaybeAdmit(MakeKey(1), 1, answer, /*cost_tuples=*/10.0));
   EXPECT_EQ(rc.num_entries(), 0u);
   EXPECT_EQ(rc.stats().rejected, 1);
@@ -96,7 +95,7 @@ TEST(ResultCacheTest, OversizedAnswersAreRejected) {
   config.max_entry_fraction = 0.5;
   ResultCache rc(config);
   // 60 tuples = 600 bytes > 50% of 1000.
-  std::vector<ChunkData> big{MakeChunk(1, 0, 60)};
+  std::vector<ChunkRef> big = ShareChunks({MakeChunk(1, 0, 60)});
   EXPECT_FALSE(rc.MaybeAdmit(MakeKey(1), 1, big, 1000.0));
   EXPECT_EQ(rc.stats().rejected, 1);
   EXPECT_TRUE(rc.ValidateInvariants());
@@ -108,7 +107,7 @@ TEST(ResultCacheTest, ClockEvictionMakesRoomAndKeepsAccounting) {
   config.bytes_per_tuple = 10;
   config.max_entry_fraction = 1.0;
   ResultCache rc(config);
-  std::vector<ChunkData> answer{MakeChunk(1, 0, 5)};
+  std::vector<ChunkRef> answer = ShareChunks({MakeChunk(1, 0, 5)});
   EXPECT_TRUE(rc.MaybeAdmit(MakeKey(1), 1, answer, 10.0));
   EXPECT_TRUE(rc.MaybeAdmit(MakeKey(2), 1, answer, 10.0));
   EXPECT_EQ(rc.num_entries(), 2u);
@@ -126,25 +125,26 @@ TEST(ResultCacheTest, ReAdmitReplacesInPlace) {
   config.bytes_per_tuple = 10;
   ResultCache rc(config);
   const ResultCacheKey key = MakeKey(1);
-  std::vector<ChunkData> v1{MakeChunk(1, 0, 3, /*base=*/1.0)};
-  std::vector<ChunkData> v2{MakeChunk(1, 0, 5, /*base=*/100.0)};
+  std::vector<ChunkRef> v1 = ShareChunks({MakeChunk(1, 0, 3, /*base=*/1.0)});
+  std::vector<ChunkRef> v2 = ShareChunks({MakeChunk(1, 0, 5, /*base=*/100.0)});
   EXPECT_TRUE(rc.MaybeAdmit(key, 1, v1, 10.0));
   EXPECT_TRUE(rc.MaybeAdmit(key, 1, v2, 20.0));
   EXPECT_EQ(rc.num_entries(), 1u);
   EXPECT_EQ(rc.bytes_used(), 50);
-  std::vector<ChunkData> out;
+  std::vector<ChunkRef> out;
   ASSERT_TRUE(rc.Probe(key, &out));
-  ASSERT_EQ(out[0].cells.size(), 5u);
-  EXPECT_EQ(out[0].cells[0].measure, 100.0);
+  ASSERT_EQ(out[0]->cells.size(), 5u);
+  EXPECT_EQ(out[0]->cells[0].measure, 100.0);
   EXPECT_TRUE(rc.ValidateInvariants());
 }
 
 TEST(ResultCacheTest, OnUpdateDropsOnlyDependentEntries) {
   ResultCache::Config config;
   ResultCache rc(config);
-  std::vector<ChunkData> a{MakeChunk(1, 0, 3), MakeChunk(1, 2, 3)};
-  std::vector<ChunkData> b{MakeChunk(1, 4, 3)};
-  std::vector<ChunkData> c{MakeChunk(2, 0, 3)};
+  std::vector<ChunkRef> a =
+      ShareChunks({MakeChunk(1, 0, 3), MakeChunk(1, 2, 3)});
+  std::vector<ChunkRef> b = ShareChunks({MakeChunk(1, 4, 3)});
+  std::vector<ChunkRef> c = ShareChunks({MakeChunk(2, 0, 3)});
   EXPECT_TRUE(rc.MaybeAdmit(MakeKey(1), 1, a, 10.0));
   EXPECT_TRUE(rc.MaybeAdmit(MakeKey(2), 1, b, 10.0));
   EXPECT_TRUE(rc.MaybeAdmit(MakeKey(3), 2, c, 10.0));
@@ -152,7 +152,7 @@ TEST(ResultCacheTest, OnUpdateDropsOnlyDependentEntries) {
   // holds chunk 0 of a DIFFERENT group-by and must survive.
   rc.OnUpdate(CacheKey{1, 2}, 7);
   EXPECT_EQ(rc.num_entries(), 2u);
-  std::vector<ChunkData> out;
+  std::vector<ChunkRef> out;
   EXPECT_FALSE(rc.Probe(MakeKey(1), &out));
   EXPECT_TRUE(rc.Probe(MakeKey(2), &out));
   EXPECT_TRUE(rc.Probe(MakeKey(3), &out));
@@ -276,11 +276,65 @@ TEST_F(ResultCacheEngineTest, BaseWriteInvalidatesDependentResults) {
   EXPECT_FALSE(stats.result_cache_hit);
   double sum_before = 0.0;
   double sum_after = 0.0;
-  for (const ChunkData& c : before.chunks)
-    for (const Cell& cell : c.cells) sum_before += cell.measure;
-  for (const ChunkData& c : after.chunks)
-    for (const Cell& cell : c.cells) sum_after += cell.measure;
+  for (const ChunkRef& c : before.chunks)
+    for (const Cell& cell : c->cells) sum_before += cell.measure;
+  for (const ChunkRef& c : after.chunks)
+    for (const Cell& cell : c->cells) sum_after += cell.measure;
   EXPECT_NEAR(sum_after, sum_before + 500.0, 1e-6);
+}
+
+// A probed answer is the caller's: invalidation drops the entry, not the
+// cells the caller already holds.
+TEST_F(ResultCacheEngineTest, ProbedAnswerOutlivesInvalidation) {
+  Query q = Query::WholeLevel(env_.schema(), LevelVector{1, 1});
+  engine_->ExecuteQuery(q, nullptr);
+  const ResultCacheKey key = CanonicalResultKey(env_.schema(), q);
+  std::vector<ChunkRef> probed;
+  ASSERT_TRUE(results_->Probe(key, &probed));
+  ASSERT_FALSE(probed.empty());
+  const std::vector<ChunkData> before = CopyChunks(probed);
+
+  std::vector<ChunkId> every_base_chunk;
+  for (ChunkId c = 0; c < env_.grid().NumChunks(env_.lattice().base_id());
+       ++c) {
+    every_base_chunk.push_back(c);
+  }
+  EXPECT_EQ(results_->InvalidateForBaseChunks(env_.grid(), every_base_chunk),
+            1);
+  std::vector<ChunkRef> again;
+  EXPECT_FALSE(results_->Probe(key, &again));
+
+  ASSERT_EQ(probed.size(), before.size());
+  for (size_t i = 0; i < probed.size(); ++i) {
+    EXPECT_EQ(probed[i]->gb, before[i].gb);
+    EXPECT_EQ(probed[i]->chunk, before[i].chunk);
+    ASSERT_EQ(probed[i]->cells.size(), before[i].cells.size());
+    for (size_t c = 0; c < before[i].cells.size(); ++c) {
+      EXPECT_EQ(probed[i]->cells[c].values, before[i].cells[c].values);
+      EXPECT_EQ(probed[i]->cells[c].measure, before[i].cells[c].measure);
+      EXPECT_EQ(probed[i]->cells[c].count, before[i].cells[c].count);
+    }
+  }
+  EXPECT_TRUE(results_->ValidateInvariants());
+}
+
+// Admission stores a chunk the key covers whole as the caller's own ref,
+// and a trimmed chunk as a fresh one.
+TEST(ResultCacheTest, AdmitSharesUntrimmedChunksAndCopiesTrimmedOnes) {
+  ResultCache rc(ResultCache::Config{});
+  ResultCacheKey key = MakeKey(1);
+  key.ranges[0] = {0, 3};  // keeps 3 of chunk 1's 5 cells
+  std::vector<ChunkRef> answer =
+      ShareChunks({MakeChunk(1, 0, 3), MakeChunk(1, 1, 5)});
+  ASSERT_TRUE(rc.MaybeAdmit(key, 1, answer, 10.0));
+  std::vector<ChunkRef> out;
+  ASSERT_TRUE(rc.Probe(key, &out));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].get(), answer[0].get());
+  EXPECT_NE(out[1].get(), answer[1].get());
+  EXPECT_EQ(out[1]->cells.size(), 3u);
+  EXPECT_EQ(answer[1]->cells.size(), 5u);  // the caller's chunk is untouched
+  EXPECT_TRUE(rc.ValidateInvariants());
 }
 
 // Capacity eviction in the chunk cache must NOT invalidate results: an
@@ -335,8 +389,8 @@ TEST(ResultCacheReplaceTest, ReplaceInPlaceNotifiesAllListeners) {
   ASSERT_TRUE(recorder.updates.empty());
 
   // A stored answer over (gb, 0).
-  ChunkData stored;
-  ASSERT_TRUE(env.cache->GetCopy({gb, 0}, &stored));
+  ChunkRef stored = env.cache->GetRef({gb, 0});
+  ASSERT_NE(stored, nullptr);
   ASSERT_TRUE(results.MaybeAdmit(MakeKey(9), gb, {stored}, 10.0));
 
   // Replace in place with different data.
@@ -353,15 +407,15 @@ TEST(ResultCacheReplaceTest, ReplaceInPlaceNotifiesAllListeners) {
   EXPECT_TRUE(recorder.evicts.empty());
 
   // The result cache saw the same OnUpdate and dropped the stale answer.
-  std::vector<ChunkData> out;
+  std::vector<ChunkRef> out;
   EXPECT_FALSE(results.Probe(MakeKey(9), &out));
   EXPECT_EQ(results.stats().invalidated, 1);
 
   // The replacement is live: a read returns the new payload.
-  ChunkData now;
-  ASSERT_TRUE(env.cache->GetCopy({gb, 0}, &now));
-  EXPECT_EQ(now.tuple_count(), fresh_tuples);
-  EXPECT_EQ(now.cells[0].measure, 999.0);
+  ChunkRef now = env.cache->GetRef({gb, 0});
+  ASSERT_NE(now, nullptr);
+  EXPECT_EQ(now->tuple_count(), fresh_tuples);
+  EXPECT_EQ(now->cells[0].measure, 999.0);
   EXPECT_TRUE(env.cache->ValidateInvariants());
 }
 

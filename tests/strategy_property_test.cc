@@ -110,7 +110,8 @@ TEST_P(EnginePressureTest, AllStrategiesAnswerCorrectlyUnderEviction) {
       const GroupById gb =
           static_cast<GroupById>(rng.Uniform(lat.num_groupbys()));
       Query q = Query::WholeLevel(env.schema(), lat.LevelOf(gb));
-      std::vector<ChunkData> got = engine.ExecuteQuery(q, nullptr).chunks;
+      std::vector<ChunkData> got =
+          CopyChunks(engine.ExecuteQuery(q, nullptr).chunks);
       std::vector<ChunkData> want =
           ground_truth.ExecuteChunkQuery(gb, ChunksForQuery(env.grid(), q)).chunks;
       ASSERT_EQ(got.size(), want.size());

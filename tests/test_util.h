@@ -8,6 +8,7 @@
 #include "chunks/chunk_layout.h"
 #include "schema/lattice.h"
 #include "schema/schema.h"
+#include "storage/chunk_data.h"
 #include "storage/tuple.h"
 #include "util/rng.h"
 
@@ -178,6 +179,25 @@ inline std::vector<Cell> RandomBaseCells(const TestCube& cube, double density,
     if (d < 0) break;
   }
   return cells;
+}
+
+// Owned copies of shared chunks, for tests that canonicalize or compare a
+// query answer (canonicalization sorts cells in place).
+inline std::vector<ChunkData> CopyChunks(const std::vector<ChunkRef>& refs) {
+  std::vector<ChunkData> out;
+  out.reserve(refs.size());
+  for (const ChunkRef& ref : refs) out.push_back(*ref);
+  return out;
+}
+
+// Wraps owned chunks as shared refs (the form caches store and hand out).
+inline std::vector<ChunkRef> ShareChunks(std::vector<ChunkData> chunks) {
+  std::vector<ChunkRef> out;
+  out.reserve(chunks.size());
+  for (ChunkData& data : chunks) {
+    out.push_back(std::make_shared<const ChunkData>(std::move(data)));
+  }
+  return out;
 }
 
 }  // namespace aac

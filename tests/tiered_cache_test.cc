@@ -421,12 +421,14 @@ TEST(TieredCacheTest, EnginedWorkloadPromotesFromWarmTier) {
   auto by_chunk = [](const ChunkData& a, const ChunkData& b) {
     return a.gb != b.gb ? a.gb < b.gb : a.chunk < b.chunk;
   };
-  std::sort(got.chunks.begin(), got.chunks.end(), by_chunk);
-  std::sort(want.chunks.begin(), want.chunks.end(), by_chunk);
-  ASSERT_EQ(got.chunks.size(), want.chunks.size());
+  std::vector<ChunkData> got_chunks = CopyChunks(got.chunks);
+  std::vector<ChunkData> want_chunks = CopyChunks(want.chunks);
+  std::sort(got_chunks.begin(), got_chunks.end(), by_chunk);
+  std::sort(want_chunks.begin(), want_chunks.end(), by_chunk);
+  ASSERT_EQ(got_chunks.size(), want_chunks.size());
   const int nd = exp.schema().num_dims();
-  for (size_t i = 0; i < got.chunks.size(); ++i) {
-    EXPECT_TRUE(ChunkDataEquals(nd, &got.chunks[i], &want.chunks[i], 0.0));
+  for (size_t i = 0; i < got_chunks.size(); ++i) {
+    EXPECT_TRUE(ChunkDataEquals(nd, &got_chunks[i], &want_chunks[i], 0.0));
   }
 
   EXPECT_TRUE(exp.cache().ValidateInvariants());

@@ -3,6 +3,7 @@
 #include "workload/experiment.h"
 #include "workload/web_schema.h"
 #include "workload/workload_runner.h"
+#include "test_util.h"
 
 namespace aac {
 namespace {
@@ -40,7 +41,7 @@ TEST(WebSchema, ExperimentRunsEndToEnd) {
   QueryStreamGenerator gen(&exp.schema(), stream_config);
   for (const QueryStreamEntry& entry : gen.Generate()) {
     std::vector<ChunkData> got =
-        exp.engine().ExecuteQuery(entry.query, nullptr).chunks;
+        CopyChunks(exp.engine().ExecuteQuery(entry.query, nullptr).chunks);
     const GroupById gb = exp.lattice().IdOf(entry.query.level);
     std::vector<ChunkData> want = oracle.ExecuteChunkQuery(
         gb, ChunksForQuery(exp.grid(), entry.query)).chunks;

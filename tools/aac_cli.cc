@@ -171,7 +171,7 @@ int CmdQuery(const Flags& flags) {
       continue;
     }
     QueryStats stats;
-    std::vector<ChunkData> chunks =
+    std::vector<ChunkRef> chunks =
         exp->engine().ExecuteQuery(parsed.query, &stats).chunks;
     std::vector<ResultRow> rows =
         RefineResult(exp->schema(), parsed.query, chunks);

@@ -91,11 +91,17 @@ run_label() {
   echo "=== ${name}: OK ==="
 }
 
-# The test binaries carrying each ctest label that a mode builds by target
-# instead of building the whole tree.
-kernel_tests="aggregator_test rollup_plan_test fold_kernel_test fold_arena_test
-  deadline_test"
-tiered_tests="chunk_codec_test tiered_cache_test overload_storm_test"
+# The test binaries registered with ctest label LABEL, read from the
+# `aac_add_test(name label...)` lines of tests/CMakeLists.txt, for the modes
+# that build by target instead of building the whole tree. A test that
+# joins a label is built by those modes without further edits here.
+label_tests() {
+  awk -v label="$1" -F '[( )]+' '/^aac_add_test\(/ {
+    for (i = 3; i <= NF; ++i) if ($i == label) print $2
+  }' "${repo_root}/tests/CMakeLists.txt" | tr '\n' ' '
+}
+kernel_tests="$(label_tests kernel)"
+tiered_tests="$(label_tests tiered)"
 
 # Runs one label mode under ASan+UBSan, then TSan.
 run_sanitized() {
