@@ -1,5 +1,7 @@
 #include "core/invalidation.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace aac {
@@ -16,11 +18,20 @@ int64_t CacheInvalidator::InvalidateForBaseChunks(
   const Lattice& lattice = grid_->lattice();
   const GroupById base = lattice.base_id();
   int64_t dropped = 0;
-  for (ChunkId base_chunk : base_chunks) {
-    for (GroupById gb = 0; gb < lattice.num_groupbys(); ++gb) {
-      const ChunkId affected =
-          grid_->ChildChunkNumber(base, base_chunk, gb);
-      if (cache_->Remove({gb, affected})) ++dropped;
+  // Base chunks that share a chunk at a coarser group-by map to the same
+  // key there; remove each key once.
+  std::vector<ChunkId> affected;
+  affected.reserve(base_chunks.size());
+  for (GroupById gb = 0; gb < lattice.num_groupbys(); ++gb) {
+    affected.clear();
+    for (ChunkId base_chunk : base_chunks) {
+      affected.push_back(grid_->ChildChunkNumber(base, base_chunk, gb));
+    }
+    std::sort(affected.begin(), affected.end());
+    affected.erase(std::unique(affected.begin(), affected.end()),
+                   affected.end());
+    for (ChunkId chunk : affected) {
+      if (cache_->Remove({gb, chunk})) ++dropped;
     }
   }
   if (results_ != nullptr) {

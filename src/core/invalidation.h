@@ -20,8 +20,9 @@ namespace aac {
 /// The closure property makes the affected set cheap to compute: an updated
 /// base chunk maps to exactly one chunk per group-by (GetChildChunkNumber),
 /// so invalidation costs O(changed base chunks x lattice nodes) regardless
-/// of data size. Count/cost maintenance (VCM/VCMC) rides along through the
-/// cache's eviction listeners.
+/// of data size. Base chunks that share a coarser chunk share its key, so
+/// each affected key is removed once. Count/cost maintenance (VCM/VCMC)
+/// rides along through the cache's eviction listeners.
 class CacheInvalidator {
  public:
   /// `grid` and `cache` must outlive the invalidator. `results` (optional,

@@ -15,15 +15,81 @@ FactTable::FactTable(const ChunkGrid* grid, std::vector<Cell> cells)
 }
 
 std::vector<ChunkId> FactTable::ApplyInserts(std::vector<Cell> cells) {
-  std::vector<ChunkId> affected;
+  const CellValueLess less{grid_->schema().num_dims()};
+  auto same = [&less](const Cell& a, const Cell& b) {
+    return !less(a, b) && !less(b, a);
+  };
+
+  // The batch in clustered order (by base chunk, then by value), with the
+  // cells it repeats combined.
+  struct Added {
+    ChunkId chunk;
+    int64_t position;  // insertion point among the existing tuples
+    Cell cell;
+  };
+  std::vector<Added> added;
+  added.reserve(cells.size());
   for (const Cell& c : cells) {
-    affected.push_back(grid_->ChunkOfCell(base_gb_, c.values.data()));
+    added.push_back({grid_->ChunkOfCell(base_gb_, c.values.data()), 0, c});
   }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  tuples_.insert(tuples_.end(), cells.begin(), cells.end());
-  Rebuild();
+  std::sort(added.begin(), added.end(),
+            [&less](const Added& a, const Added& b) {
+              return a.chunk != b.chunk ? a.chunk < b.chunk
+                                        : less(a.cell, b.cell);
+            });
+  size_t distinct = 0;
+  for (const Added& a : added) {
+    if (distinct > 0 && same(added[distinct - 1].cell, a.cell)) {
+      MergeCellAggregates(added[distinct - 1].cell, a.cell);
+    } else {
+      added[distinct++] = a;
+    }
+  }
+  added.resize(distinct);
+
+  // Fold cells the table already holds into their tuple; keep the rest,
+  // each with its insertion point in its chunk's value-sorted slice.
+  std::vector<ChunkId> affected;
+  size_t fresh = 0;
+  for (const Added& a : added) {
+    if (affected.empty() || affected.back() != a.chunk) {
+      affected.push_back(a.chunk);
+    }
+    const auto begin =
+        tuples_.begin() + chunk_offsets_[static_cast<size_t>(a.chunk)];
+    const auto end =
+        tuples_.begin() + chunk_offsets_[static_cast<size_t>(a.chunk) + 1];
+    const auto it = std::lower_bound(begin, end, a.cell, less);
+    if (it != end && same(*it, a.cell)) {
+      MergeCellAggregates(*it, a.cell);
+    } else {
+      added[fresh] = a;
+      added[fresh++].position = it - tuples_.begin();
+    }
+  }
+  added.resize(fresh);
+
+  // Merge the new cells in from the back, moving each run of existing
+  // tuples once.
+  int64_t src = num_tuples();
+  tuples_.resize(tuples_.size() + added.size());
+  int64_t dst = num_tuples();
+  for (auto a = added.rbegin(); a != added.rend(); ++a) {
+    std::move_backward(tuples_.begin() + a->position, tuples_.begin() + src,
+                       tuples_.begin() + dst);
+    dst -= src - a->position;
+    src = a->position;
+    tuples_[static_cast<size_t>(--dst)] = a->cell;
+  }
+  // Every chunk boundary shifts by the new cells of the chunks before it.
+  size_t before = 0;
+  for (size_t c = 0; c + 1 < chunk_offsets_.size(); ++c) {
+    while (before < added.size() &&
+           added[before].chunk <= static_cast<ChunkId>(c)) {
+      ++before;
+    }
+    chunk_offsets_[c + 1] += static_cast<int64_t>(before);
+  }
   return affected;
 }
 

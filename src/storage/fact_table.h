@@ -21,7 +21,9 @@ class FactTable {
   /// one tuple per non-empty cell. `grid` must outlive the table.
   FactTable(const ChunkGrid* grid, std::vector<Cell> cells);
 
-  /// Appends new fact tuples (merging into existing cells) and re-clusters.
+  /// Adds new fact tuples: cells the table already holds merge into their
+  /// tuple, and new cells are merged into their chunk's value-sorted slice
+  /// in one linear pass (no re-sort of the table).
   /// Cached results derived from the affected base chunks become stale; see
   /// core/invalidation.h for the cache-side protocol. Returns the base
   /// chunks whose contents changed.

@@ -17,7 +17,18 @@ namespace aac {
 /// (e.g. APB-1's per-month records collapse 24x at the month roll-up). The
 /// cost-based strategies pick noticeably better paths with real sizes —
 /// this is the "estimated group-by sizes" the paper cites from [SDN98],
-/// done exactly. Construction costs one aggregation pass per group-by.
+/// done exactly.
+///
+/// Construction rolls the lattice up instead of re-reading the fact table
+/// per group-by: a group-by's distinct cells are the image of any finer
+/// group-by's distinct cells. The base group-by's cells are the fact
+/// tuples; every other group-by maps the sorted cell ids of its parent with
+/// the fewest distinct cells, then sorts, deduplicates and counts them per
+/// chunk, and frees a parent's ids once its last such child has read them.
+/// Layers (level sums) run from detailed to aggregated; the group-bys of
+/// one layer are measured on `hardware_concurrency()` threads, each writing
+/// only its own counts, and the layer's join orders those writes before the
+/// next layer reads them.
 class MeasuredChunkSizeModel : public ChunkSizeModel {
  public:
   /// `grid` and `table` must outlive the model.

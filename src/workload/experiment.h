@@ -57,8 +57,8 @@ struct ExperimentConfig {
   /// more (e.g. 16) so concurrent queries rarely contend on one shard.
   int cache_shards = 1;
 
-  /// Use exact measured chunk sizes (one aggregation pass per group-by at
-  /// setup) instead of the analytic occupancy model. Improves cost-based
+  /// Use exact measured chunk sizes (a roll-up of the lattice at setup)
+  /// instead of the analytic occupancy model. Improves cost-based
   /// path choices on correlated data; see storage/measured_size_model.h.
   bool measured_sizes = false;
 

@@ -99,6 +99,34 @@ TEST_F(InvalidationTest, UnaffectedChunksStayCached) {
             env_.grid().NumChunks(env_.lattice().base_id()) - 1);
 }
 
+TEST_F(InvalidationTest, SharedCoarserChunksAreCountedOnce) {
+  // Cache every chunk of every group-by.
+  const Lattice& lat = env_.lattice();
+  for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
+    engine_->ExecuteQuery(Query::WholeLevel(env_.schema(), lat.LevelOf(gb)),
+                          nullptr);
+  }
+  // Every base chunk: all of them share the top group-by's one chunk, so
+  // each cached entry is stale and must be counted once.
+  std::vector<ChunkId> base_chunks;
+  for (ChunkId c = 0; c < env_.grid().NumChunks(lat.base_id()); ++c) {
+    base_chunks.push_back(c);
+  }
+  std::vector<CacheKey> stale;
+  for (GroupById gb = 0; gb < lat.num_groupbys(); ++gb) {
+    for (ChunkId c = 0; c < env_.grid().NumChunks(gb); ++c) {
+      if (env_.cache->Contains({gb, c})) stale.push_back({gb, c});
+    }
+  }
+  ASSERT_TRUE(env_.cache->Contains({lat.top_id(), 0}));
+
+  CacheInvalidator invalidator(&env_.grid(), env_.cache.get());
+  EXPECT_EQ(invalidator.InvalidateForBaseChunks(base_chunks),
+            static_cast<int64_t>(stale.size()));
+  for (const CacheKey& key : stale) EXPECT_FALSE(env_.cache->Contains(key));
+  EXPECT_EQ(env_.cache->num_entries(), 0u);
+}
+
 TEST_F(InvalidationTest, CountsStayConsistentAfterInvalidation) {
   Query base_q = Query::WholeLevel(env_.schema(), env_.schema().base_level());
   engine_->ExecuteQuery(base_q, nullptr);

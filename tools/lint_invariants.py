@@ -23,8 +23,8 @@ it enforces the invariants that keep the clang gate meaningful:
       aac_add_test (the function silently skips missing files, so an
       unregistered test compiles green and never runs).
   R5  Tests that exercise the concurrent core (ConcurrentQueryEngine,
-      SingleFlight, the sharded ChunkCache, RollupPlanCache, raw
-      std::thread) must carry the "concurrency" ctest label, because
+      SingleFlight, the sharded ChunkCache, RollupPlanCache, the
+      layer-parallel MeasuredChunkSizeModel, raw std::thread) must carry the "concurrency" ctest label, because
       tools/check.sh tsan only runs that label — an unlabeled concurrent
       test never sees ThreadSanitizer. Likewise, tests that exercise the
       overload surface (deadlines/cancellation via util/deadline.h, the
@@ -323,7 +323,8 @@ LABEL_AUDITS = [
     ("concurrency",
      ["<thread>", '"core/concurrent_engine.h"', '"core/single_flight.h"',
       '"cache/chunk_cache.h"', '"storage/rollup_plan.h"',
-      '"storage/fold_kernel.h"', '"workload/parallel_runner.h"'],
+      '"storage/fold_kernel.h"', '"storage/measured_size_model.h"',
+      '"workload/parallel_runner.h"'],
      "the concurrent core", "tsan", "ThreadSanitizer"),
     # The overload surface (deadlines, cancellation, admission, retries,
     # faults).
