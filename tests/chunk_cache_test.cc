@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -406,6 +409,79 @@ TEST_F(ChunkCacheTest, StatsCountHitsAndInserts) {
   EXPECT_EQ(cache_.stats().inserts, 1);
   EXPECT_EQ(cache_.stats().hits, 2);
   EXPECT_EQ(cache_.stats().misses, 1);
+}
+
+// "gb:chunk gb:chunk ..." for a key sequence.
+std::string KeyList(const std::vector<CacheKey>& keys) {
+  std::string out;
+  for (const CacheKey& k : keys) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(k.gb) + ":" + std::to_string(k.chunk);
+  }
+  return out;
+}
+
+// Pins the exact weighted-CLOCK eviction order of one two-level shard: a
+// seeded stream of inserts, replaces (some changing victim class), hits and
+// boosts over a cache with one entry pinned throughout. Any change to the
+// sweep (class order, skip-without-decrement, hand placement after an
+// erase, re-ringing on a class change) changes the OnEvict sequence.
+TEST(ChunkCacheEvictionOrderTest, TwoLevelStreamEvictsInPinnedOrder) {
+  TwoLevelPolicy policy;
+  ChunkCache cache(/*capacity_bytes=*/300, /*bytes_per_tuple=*/10, &policy,
+                   /*num_shards=*/1);
+  RecordingListener listener;
+  cache.AddListener(&listener);
+
+  // Pinned for the whole stream: the sweep must pass it without ever
+  // decrementing or evicting it.
+  ASSERT_TRUE(cache.Insert(MakeChunk(9, 0, 2), 0.0, ChunkSource::kBackend));
+  cache.Pin({9, 0});
+
+  std::mt19937 rng(20240611);
+  auto pick = [&](uint32_t n) { return static_cast<int>(rng() % n); };
+  for (int step = 0; step < 160; ++step) {
+    const CacheKey key{1 + pick(3), pick(6)};
+    switch (pick(10)) {
+      case 0: case 1: case 2: case 3: case 4: {
+        const ChunkSource source = pick(2) == 0 ? ChunkSource::kBackend
+                                                : ChunkSource::kCacheComputed;
+        cache.Insert(MakeChunk(key.gb, key.chunk, 1 + pick(5)),
+                     static_cast<double>(pick(2000)), source);
+        break;
+      }
+      case 5: case 6: case 7:
+        cache.GetRef(key);
+        break;
+      default:
+        cache.Boost(key, 1.0 + pick(4));
+        break;
+    }
+    if (step == 80) {
+      // A replace that moves an entry from the computed class to the
+      // backend class (re-ringed at the tail of class 1).
+      cache.Insert(MakeChunk(3, 5, 3), 10.0, ChunkSource::kCacheComputed);
+      cache.Insert(MakeChunk(3, 5, 4), 500.0, ChunkSource::kBackend);
+    }
+  }
+  EXPECT_TRUE(cache.Contains({9, 0}));
+  EXPECT_EQ(KeyList(listener.evicts),
+            "1:3 2:1 3:5 1:1 1:0 2:3 1:1 2:4 3:0 2:0 3:1 1:4 2:0 1:3 2:1 1:1 "
+            "3:5 2:3 1:0 2:0 3:3 2:5");
+  std::vector<CacheKey> resident;
+  cache.ForEach([&](const CacheEntryInfo& info) {
+    resident.push_back(info.key);
+  });
+  std::sort(resident.begin(), resident.end(),
+            [](const CacheKey& a, const CacheKey& b) {
+              return a.gb != b.gb ? a.gb < b.gb : a.chunk < b.chunk;
+            });
+  EXPECT_EQ(KeyList(resident), "1:1 1:2 1:3 1:4 1:5 2:2 2:4 3:0 3:4 9:0");
+  EXPECT_EQ(cache.stats().rejected_inserts, 11);
+  EXPECT_EQ(cache.stats().evictions,
+            static_cast<int64_t>(listener.evicts.size()));
+  EXPECT_TRUE(cache.ValidateInvariants());
+  cache.Unpin({9, 0});
 }
 
 TEST(ChunkCacheDeathTest, UnpinWithoutPinAborts) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -161,6 +163,55 @@ TEST(ResultCacheTest, OnUpdateDropsOnlyDependentEntries) {
   rc.OnInsert(CacheKey{1, 4}, 3);
   rc.OnEvict(CacheKey{1, 4});
   EXPECT_EQ(rc.num_entries(), 2u);
+  EXPECT_TRUE(rc.ValidateInvariants());
+}
+
+// Pins the result cache's CLOCK eviction order under replace-in-place
+// pressure: re-admitting a resident key with a larger answer sweeps the
+// ring with that key protected (passed over without a decrement), so the
+// surviving keys and the eviction count depend on exactly where the hand
+// goes and which entries it decrements.
+TEST(ResultCacheEvictionOrderTest, ReplaceInPlaceUnderPressure) {
+  ResultCache::Config config;
+  config.capacity_bytes = 300;
+  config.bytes_per_tuple = 10;
+  ResultCache rc(config);
+  std::mt19937 rng(77);
+  auto pick = [&](uint32_t n) { return static_cast<int>(rng() % n); };
+  std::vector<ChunkRef> out;
+  std::vector<int64_t> stored_bytes(13, 0);
+  int replaces_under_pressure = 0;
+  for (int step = 0; step < 200; ++step) {
+    const uint64_t digest = 1 + static_cast<uint64_t>(pick(12));
+    const ResultCacheKey key = MakeKey(digest);
+    if (pick(3) == 0) {
+      rc.Probe(key, &out);
+      continue;
+    }
+    const int64_t bytes = 10 * (2 + pick(6));
+    const bool replace = rc.Contains(key);
+    if (replace && rc.bytes_used() - stored_bytes[digest] + bytes >
+                       config.capacity_bytes) {
+      ++replaces_under_pressure;  // this admit sweeps with `key` protected
+    }
+    const int64_t admitted = rc.stats().admitted;
+    rc.MaybeAdmit(key, 1,
+                  ShareChunks({MakeChunk(1, pick(4),
+                                         static_cast<int>(bytes / 10))}),
+                  static_cast<double>(pick(5000)));
+    if (rc.stats().admitted > admitted) stored_bytes[digest] = bytes;
+  }
+  EXPECT_GT(replaces_under_pressure, 0);
+  std::string survivors;
+  for (uint64_t d = 1; d <= 12; ++d) {
+    if (rc.Contains(MakeKey(d))) survivors += std::to_string(d) + " ";
+  }
+  EXPECT_EQ(survivors, "2 4 6 9 10 11 12 ");
+  const ResultCacheStats stats = rc.stats();
+  EXPECT_EQ(stats.evictions, 54);
+  EXPECT_EQ(stats.admitted, 124);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(rc.bytes_used(), 300);
   EXPECT_TRUE(rc.ValidateInvariants());
 }
 

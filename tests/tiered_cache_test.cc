@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -249,6 +250,103 @@ TEST(TieredCacheTest, WarmEvictionSpillsToDiskAndPromotesBack) {
   EXPECT_GT(t.warm->stats().disk_hits, 0);
   EXPECT_GT(t.disk->stats().hits, 0);
   EXPECT_TRUE(t.warm->ValidateInvariants());
+  std::remove(path.c_str());
+}
+
+// Pins the warm tier's CLOCK victim order and the disk tier's own CLOCK
+// over a seeded stream of demotions, warm hits, disk reads and erases.
+// Every blob has the same encoded size, so each admission past the warm
+// budget spills exactly one victim: the order in which keys first appear
+// on disk is the warm tier's eviction order. The disk budget holds three
+// extents, so which keys survive there pins the disk tier's sweep.
+TEST(TieredCacheTest, WarmSpillOrderAndDiskSurvivorsArePinned) {
+  const std::string path = testing::TempDir() + "/aac_spill_order_test.bin";
+  constexpr int kDims = 2;
+  auto chunk = [](ChunkId c) {
+    ChunkData data;
+    data.gb = 1;
+    data.chunk = c;
+    for (int i = 0; i < 4; ++i) {
+      Cell cell;
+      cell.values[0] = i;
+      cell.values[1] = 2 * i;
+      InitCellAggregates(cell, 1.0 + i);
+      data.cells.push_back(cell);
+    }
+    return data;
+  };
+  std::vector<uint8_t> blob;
+  EncodeChunk(kDims, chunk(0), &blob);
+  const auto blob_bytes = static_cast<int64_t>(blob.size());
+  int64_t extent_bytes = 0;
+  {
+    DiskTier::Config probe_config;
+    probe_config.path = path;
+    DiskTier probe(probe_config);
+    ASSERT_TRUE(probe.Open());
+    ASSERT_TRUE(probe.Admit(CacheEntryInfo{{1, 0}, 1, 1.0}, blob));
+    extent_bytes = probe.bytes_used();
+  }
+
+  DiskTier::Config dc;
+  dc.path = path;
+  dc.capacity_bytes = 3 * extent_bytes + extent_bytes / 2;
+  DiskTier disk(dc);
+  ASSERT_TRUE(disk.Open());
+  WarmTier::Config wc;
+  wc.capacity_bytes = 4 * blob_bytes + blob_bytes / 2;
+  wc.num_dims = kDims;
+  wc.disk = &disk;
+  WarmTier warm(wc);
+
+  std::mt19937 rng(4242);
+  auto pick = [&](uint32_t n) { return static_cast<int>(rng() % n); };
+  constexpr ChunkId kKeys = 14;
+  std::vector<bool> on_disk(kKeys, false);
+  std::string spill_order;
+  for (int step = 0; step < 120; ++step) {
+    const ChunkId c = pick(kKeys);
+    const CacheKey key{1, c};
+    const int op = pick(10);
+    if (op < 6) {
+      CacheEntryInfo info;
+      info.key = key;
+      info.bytes = 160;
+      info.benefit = static_cast<double>(pick(3000));
+      warm.OnDemote(info, chunk(c));
+    } else if (op < 9) {
+      WarmProbeResult probe;
+      warm.Probe(key, nullptr, &probe);
+    } else {
+      warm.OnErase(key);
+    }
+    for (ChunkId k = 0; k < kKeys; ++k) {
+      const bool now = disk.Contains({1, k});
+      if (now && !on_disk[static_cast<size_t>(k)]) {
+        spill_order += std::to_string(k) + " ";
+      }
+      on_disk[static_cast<size_t>(k)] = now;
+    }
+  }
+  std::string disk_survivors;
+  std::string warm_survivors;
+  for (ChunkId k = 0; k < kKeys; ++k) {
+    if (disk.Contains({1, k})) disk_survivors += std::to_string(k) + " ";
+    if (warm.Contains({1, k}) && !disk.Contains({1, k})) {
+      warm_survivors += std::to_string(k) + " ";
+    }
+  }
+  EXPECT_EQ(spill_order,
+            "8 7 6 3 13 12 6 7 0 13 12 11 0 1 13 10 3 11 7 5 1 4 8 9 5 12 2 8 "
+            "13 3 10 7 2 9 0 5 7 11 9 12 8 6 1 10 13 7 11 2 0 6 12 9 13 1 7 6 "
+            "0 ");
+  EXPECT_EQ(disk_survivors, "0 6 7 ");
+  EXPECT_EQ(warm_survivors, "5 8 11 12 ");
+  EXPECT_EQ(warm.stats().evictions, 57);
+  EXPECT_EQ(warm.stats().spills, 57);
+  EXPECT_EQ(disk.stats().evictions, 49);
+  EXPECT_TRUE(warm.ValidateInvariants());
+  EXPECT_TRUE(disk.ValidateInvariants());
   std::remove(path.c_str());
 }
 
