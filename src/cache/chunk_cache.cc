@@ -16,25 +16,12 @@ ChunkCache::ChunkCache(int64_t capacity_bytes, int64_t bytes_per_tuple,
   AAC_CHECK_GT(bytes_per_tuple, 0);
   AAC_CHECK(policy != nullptr);
   AAC_CHECK_GE(num_shards, 1);
-  const auto classes = static_cast<size_t>(policy->num_victim_classes());
-  AAC_CHECK_GE(policy->num_victim_classes(), 1);
   shards_.reserve(static_cast<size_t>(num_shards));
   const int64_t base = capacity_bytes / num_shards;
   const int64_t remainder = capacity_bytes % num_shards;
   for (int s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->capacity = base + (s < remainder ? 1 : 0);
-    // The shard is not yet published, but its ring/accounting fields are
-    // lock-guarded — initialize under the (uncontended) lock so the
-    // thread-safety analysis sees a uniform discipline.
-    MutexLock lock(shard->mutex);
-    shard->rings.resize(classes);
-    shard->hands.resize(classes);
-    for (size_t c = 0; c < classes; ++c) {
-      shard->hands[c] = shard->rings[c].end();
-    }
-    shard->class_bytes.assign(classes, 0);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>(
+        base + (s < remainder ? 1 : 0), policy->num_victim_classes()));
   }
 }
 
@@ -47,7 +34,7 @@ int64_t ChunkCache::bytes_used() const {
   int64_t total = 0;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mutex);
-    total += shard->bytes_used;
+    total += shard->entries.bytes();
   }
   return total;
 }
@@ -86,27 +73,14 @@ void ChunkCache::ResetStats() {
 bool ChunkCache::Contains(const CacheKey& key) const {
   const Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
-  return shard.entries.count(key) > 0;
-}
-
-const ChunkData* ChunkCache::Get(const CacheKey& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.stats.misses;
-    return nullptr;
-  }
-  ++shard.stats.hits;
-  it->second.clock_value = policy_->ClockValue(it->second.info);
-  return it->second.data.get();
+  return shard.entries.contains(key);
 }
 
 const ChunkData* ChunkCache::Peek(const CacheKey& key) const {
   const Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
   auto it = shard.entries.find(key);
-  return it == shard.entries.end() ? nullptr : it->second.data.get();
+  return it == shard.entries.end() ? nullptr : it->second.value.data.get();
 }
 
 ChunkRef ChunkCache::GetRef(const CacheKey& key) {
@@ -118,8 +92,8 @@ ChunkRef ChunkCache::GetRef(const CacheKey& key) {
     return nullptr;
   }
   ++shard.stats.hits;
-  it->second.clock_value = policy_->ClockValue(it->second.info);
-  return it->second.data;
+  it->second.clock_value = policy_->ClockValue(it->second.value.info);
+  return it->second.value.data;
 }
 
 const ChunkData* ChunkCache::GetPinned(const CacheKey& key) {
@@ -131,9 +105,9 @@ const ChunkData* ChunkCache::GetPinned(const CacheKey& key) {
     return nullptr;
   }
   ++shard.stats.hits;
-  it->second.clock_value = policy_->ClockValue(it->second.info);
-  ++it->second.pin_count;
-  return it->second.data.get();
+  it->second.clock_value = policy_->ClockValue(it->second.value.info);
+  ++it->second.value.pin_count;
+  return it->second.value.data.get();
 }
 
 bool ChunkCache::Insert(ChunkData data, double benefit, ChunkSource source) {
@@ -180,86 +154,45 @@ bool ChunkCache::InsertLocked(Shard& shard, const CacheKey& key,
                               const CacheEntryInfo& info, ChunkRef&& data,
                               int64_t tuples, std::vector<Demoted>* demoted,
                               bool* erase_sink) {
+  const int64_t capacity = shard.entries.capacity();
   auto existing = shard.entries.find(key);
   if (existing != shard.entries.end()) {
-    Entry& entry = existing->second;
+    Entry& entry = existing->second.value;
     if (entry.pin_count > 0) {
       // A fold reads the data through the pinned pointer, which only this
       // entry's ref keeps alive; swapping it out could free the cells
       // mid-fold. Treat the insert as a use only.
-      entry.clock_value = policy_->ClockValue(entry.info);
+      existing->second.clock_value = policy_->ClockValue(entry.info);
       return true;
     }
-    if (info.bytes > shard.capacity) {
+    if (info.bytes > capacity) {
       ++shard.stats.rejected_inserts;
       return false;
     }
-    const int64_t needed =
-        shard.bytes_used - entry.info.bytes + info.bytes - shard.capacity;
-    if (needed > 0) {
-      // Shield the entry being replaced from its own eviction sweep.
-      ++entry.pin_count;
-      const bool evicted = EvictFor(shard, info, needed, demoted);
-      --entry.pin_count;
-      if (!evicted) {
-        ++shard.stats.rejected_inserts;
-        return false;
-      }
+    // Shield the entry being replaced from its own eviction sweep.
+    ++entry.pin_count;
+    const bool fits =
+        MakeRoom(shard, info, info.bytes - existing->second.bytes, demoted);
+    --entry.pin_count;
+    if (!fits) {
+      ++shard.stats.rejected_inserts;
+      return false;
     }
-    const int new_class = policy_->VictimClass(info);
-    AAC_CHECK(new_class >= 0 && new_class < policy_->num_victim_classes());
-    const int old_class = entry.victim_class;
-    shard.bytes_used += info.bytes - entry.info.bytes;
-    shard.class_bytes[static_cast<size_t>(old_class)] -= entry.info.bytes;
-    shard.class_bytes[static_cast<size_t>(new_class)] += info.bytes;
-    if (new_class != old_class) {
-      auto& old_ring = shard.rings[static_cast<size_t>(old_class)];
-      auto& old_hand = shard.hands[static_cast<size_t>(old_class)];
-      if (old_hand == entry.ring_pos) ++old_hand;
-      old_ring.erase(entry.ring_pos);
-      auto& new_ring = shard.rings[static_cast<size_t>(new_class)];
-      new_ring.push_back(key);
-      entry.ring_pos = std::prev(new_ring.end());
-      if (shard.hands[static_cast<size_t>(new_class)] == new_ring.end()) {
-        shard.hands[static_cast<size_t>(new_class)] = entry.ring_pos;
-      }
-    }
+    shard.entries.Update(existing, info.bytes, policy_->VictimClass(info));
     entry.data = std::move(data);
     entry.info = info;
-    entry.clock_value = policy_->ClockValue(info);
-    entry.victim_class = new_class;
+    existing->second.clock_value = policy_->ClockValue(info);
     *erase_sink = true;
     for (CacheListener* l : listeners_) l->OnUpdate(key, tuples);
     return true;
   }
 
-  if (info.bytes > shard.capacity) {
+  if (info.bytes > capacity || !MakeRoom(shard, info, info.bytes, demoted)) {
     ++shard.stats.rejected_inserts;
     return false;
   }
-
-  const int64_t needed = shard.bytes_used + info.bytes - shard.capacity;
-  if (needed > 0 && !EvictFor(shard, info, needed, demoted)) {
-    ++shard.stats.rejected_inserts;
-    return false;
-  }
-
-  const int victim_class = policy_->VictimClass(info);
-  AAC_CHECK(victim_class >= 0 && victim_class < policy_->num_victim_classes());
-  auto& ring = shard.rings[static_cast<size_t>(victim_class)];
-  Entry entry;
-  entry.data = std::move(data);
-  entry.info = info;
-  entry.clock_value = policy_->ClockValue(info);
-  entry.victim_class = victim_class;
-  ring.push_back(key);
-  entry.ring_pos = std::prev(ring.end());
-  if (shard.hands[static_cast<size_t>(victim_class)] == ring.end()) {
-    shard.hands[static_cast<size_t>(victim_class)] = entry.ring_pos;
-  }
-  shard.bytes_used += info.bytes;
-  shard.class_bytes[static_cast<size_t>(victim_class)] += info.bytes;
-  shard.entries.emplace(key, std::move(entry));
+  shard.entries.Insert(key, Entry{std::move(data), info, 0}, info.bytes,
+                       policy_->ClockValue(info), policy_->VictimClass(info));
   ++shard.stats.inserts;
   *erase_sink = true;
   for (CacheListener* l : listeners_) l->OnInsert(key, tuples);
@@ -273,8 +206,8 @@ bool ChunkCache::Remove(const CacheKey& key) {
     MutexLock lock(shard.mutex);
     auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
-      AAC_CHECK_EQ(it->second.pin_count, 0);
-      EvictEntry(shard, it, /*demoted=*/nullptr);
+      AAC_CHECK_EQ(it->second.value.pin_count, 0);
+      EvictEntry(shard, key, shard.entries.Erase(it), /*demoted=*/nullptr);
       removed = true;
     }
   }
@@ -299,7 +232,7 @@ void ChunkCache::Pin(const CacheKey& key) {
   MutexLock lock(shard.mutex);
   auto it = shard.entries.find(key);
   AAC_CHECK(it != shard.entries.end());
-  ++it->second.pin_count;
+  ++it->second.value.pin_count;
 }
 
 void ChunkCache::Unpin(const CacheKey& key) {
@@ -307,8 +240,8 @@ void ChunkCache::Unpin(const CacheKey& key) {
   MutexLock lock(shard.mutex);
   auto it = shard.entries.find(key);
   AAC_CHECK(it != shard.entries.end());
-  AAC_CHECK_GT(it->second.pin_count, 0);
-  --it->second.pin_count;
+  AAC_CHECK_GT(it->second.value.pin_count, 0);
+  --it->second.value.pin_count;
 }
 
 void ChunkCache::ForEach(
@@ -318,7 +251,9 @@ void ChunkCache::ForEach(
   std::vector<CacheEntryInfo> infos;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mutex);
-    for (const auto& [key, entry] : shard->entries) infos.push_back(entry.info);
+    for (const auto& [key, slot] : shard->entries) {
+      infos.push_back(slot.value.info);
+    }
   }
   for (const CacheEntryInfo& info : infos) fn(info);
 }
@@ -326,36 +261,14 @@ void ChunkCache::ForEach(
 bool ChunkCache::ValidateInvariants() const {
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mutex);
-    int64_t bytes = 0;
-    std::vector<int64_t> class_bytes(shard->class_bytes.size(), 0);
-    size_t ring_members = 0;
-    for (const auto& [key, entry] : shard->entries) {
-      if (!(key == entry.info.key)) return false;
-      if (entry.info.bytes < 0 || entry.pin_count < 0) return false;
-      if (entry.victim_class < 0 ||
-          entry.victim_class >= static_cast<int>(shard->rings.size())) {
-        return false;
-      }
-      if (!(*entry.ring_pos == key)) return false;
-      bytes += entry.info.bytes;
-      class_bytes[static_cast<size_t>(entry.victim_class)] += entry.info.bytes;
-    }
-    if (bytes != shard->bytes_used) return false;
-    if (shard->bytes_used > shard->capacity) return false;
-    if (class_bytes != shard->class_bytes) return false;
-    for (size_t c = 0; c < shard->rings.size(); ++c) {
-      const auto& ring = shard->rings[c];
-      ring_members += ring.size();
-      for (const CacheKey& key : ring) {
-        auto it = shard->entries.find(key);
-        if (it == shard->entries.end()) return false;
-        if (it->second.victim_class != static_cast<int>(c)) return false;
-      }
-      // The hand is either parked at end() or on a live ring member.
-      const auto& hand = shard->hands[c];
-      if (hand != ring.end() && shard->entries.count(*hand) == 0) return false;
-    }
-    if (ring_members != shard->entries.size()) return false;
+    const bool ok = shard->entries.Validate(
+        [&](const CacheKey& key, const auto& slot) {
+          const Entry& entry = slot.value;
+          return key == entry.info.key && entry.info.bytes == slot.bytes &&
+                 entry.pin_count >= 0 &&
+                 slot.victim_class == policy_->VictimClass(entry.info);
+        });
+    if (!ok) return false;
   }
   return true;
 }
@@ -364,88 +277,43 @@ int64_t ChunkCache::TotalPinCount() const {
   int64_t pins = 0;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mutex);
-    for (const auto& [key, entry] : shard->entries) pins += entry.pin_count;
+    for (const auto& [key, slot] : shard->entries) {
+      pins += slot.value.pin_count;
+    }
   }
   return pins;
 }
 
-bool ChunkCache::EvictFor(Shard& shard, const CacheEntryInfo& incoming,
-                          int64_t needed, std::vector<Demoted>* demoted) {
-  // Fast reject: not enough evictable bytes in the classes this chunk may
-  // replace — no point sweeping.
-  int64_t available = 0;
-  for (int victim_class = 0; victim_class < policy_->num_victim_classes();
-       ++victim_class) {
-    if (policy_->MayReplaceClass(incoming, victim_class)) {
-      available += shard.class_bytes[static_cast<size_t>(victim_class)];
-    }
-  }
-  if (available < needed) return false;
-
+bool ChunkCache::MakeRoom(Shard& shard, const CacheEntryInfo& incoming,
+                          int64_t bytes, std::vector<Demoted>* demoted) {
   // Victims are taken class by class (the two-level policy evicts all
-  // cache-computed chunks before touching any backend chunk). Within a
+  // cache-computed chunks before touching any backend chunk); within a
   // class, the weighted CLOCK decides.
-  int64_t freed = 0;
-  for (int victim_class = 0;
-       victim_class < policy_->num_victim_classes() && freed < needed;
-       ++victim_class) {
-    if (!policy_->MayReplaceClass(incoming, victim_class)) continue;
-    auto& ring = shard.rings[static_cast<size_t>(victim_class)];
-    auto& hand = shard.hands[static_cast<size_t>(victim_class)];
-    // Bound the sweep: clock values are capped at kMaxClockValue (48), so
-    // every entry reaches zero within 64 decrement visits. A revolution
-    // that finds no eligible victim (all pinned / policy-protected) ends
-    // the class immediately.
-    int64_t budget = static_cast<int64_t>(ring.size()) * 64 + 64;
-    int64_t remaining_in_rev = static_cast<int64_t>(ring.size());
-    bool eligible_in_rev = false;
-    while (freed < needed && budget-- > 0 && !ring.empty()) {
-      if (hand == ring.end()) hand = ring.begin();
-      if (remaining_in_rev-- <= 0) {
-        if (!eligible_in_rev) break;
-        remaining_in_rev = static_cast<int64_t>(ring.size());
-        eligible_in_rev = false;
-      }
-      auto it = shard.entries.find(*hand);
-      AAC_CHECK(it != shard.entries.end());
-      Entry& entry = it->second;
-      if (entry.pin_count > 0 || !policy_->CanReplace(incoming, entry.info)) {
-        ++hand;
-        continue;
-      }
-      eligible_in_rev = true;
-      if (entry.clock_value <= 0.0) {
-        freed += entry.info.bytes;
-        EvictEntry(shard, it, demoted);  // advances the hand past the victim
-        continue;
-      }
-      entry.clock_value -= 1.0;
-      ++hand;
-    }
-  }
-  return freed >= needed;
+  return shard.entries.MakeRoom(
+      bytes,
+      [&](const CacheKey& key, Entry&& victim) {
+        shard.mutex.AssertHeld();
+        EvictEntry(shard, key, std::move(victim), demoted);
+      },
+      [&](const CacheKey& /*key*/, const Entry& entry) {
+        return entry.pin_count == 0 &&
+               policy_->CanReplace(incoming, entry.info);
+      },
+      [&](int victim_class) {
+        return policy_->MayReplaceClass(incoming, victim_class);
+      });
 }
 
-void ChunkCache::EvictEntry(Shard& shard, EntryMap::iterator it,
+void ChunkCache::EvictEntry(Shard& shard, const CacheKey& key, Entry&& entry,
                             std::vector<Demoted>* demoted) {
-  const CacheKey key = it->first;
-  const auto victim_class = static_cast<size_t>(it->second.victim_class);
-  if (shard.hands[victim_class] == it->second.ring_pos) {
-    ++shard.hands[victim_class];
-  }
-  shard.rings[victim_class].erase(it->second.ring_pos);
-  shard.bytes_used -= it->second.info.bytes;
-  shard.class_bytes[victim_class] -= it->second.info.bytes;
   if (demoted != nullptr && sink_ != nullptr) {
     // Demotion: the bytes left the hot budget in this same critical
     // section, so the entry is never charged to two tiers at once. The
     // sink sees the data only after the caller drops the shard lock.
     ++shard.stats.demotions;
-    shard.stats.demoted_bytes += it->second.info.bytes;
-    demoted->push_back(
-        Demoted{it->second.info, std::move(it->second.data)});
+    shard.stats.demoted_bytes += entry.info.bytes;
+    demoted->push_back(Demoted{entry.info, std::move(entry.data)});
   }
-  shard.entries.erase(it);
   ++shard.stats.evictions;
   for (CacheListener* l : listeners_) l->OnEvict(key);
 }

@@ -3,12 +3,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_entry.h"
+#include "cache/clock_map.h"
 #include "cache/replacement.h"
 #include "storage/chunk_data.h"
 #include "util/lockdep.h"
@@ -61,11 +60,12 @@ class DemotionSink {
 /// Middle-tier chunk cache with weighted-CLOCK replacement.
 ///
 /// Stores `ChunkData` keyed by (group-by, chunk number) under a byte
-/// capacity. Replacement approximates LRU with CLOCK: entries carry a clock
-/// value from the `ReplacementPolicy`; the sweeping hand decrements values
-/// and evicts non-pinned entries that reach zero, subject to the policy's
-/// class rules (two-level policy). Listeners observe inserts and evictions
-/// so the virtual-count strategies can maintain their summary state.
+/// capacity. Replacement is the weighted CLOCK of ClockMap (DESIGN.md §3)
+/// with one ring per victim class of the `ReplacementPolicy`: entries carry
+/// the policy's clock value, and the sweep passes over pinned entries and
+/// entries the incoming chunk may not replace (two-level policy) without
+/// decrementing them. Listeners observe inserts and evictions so the
+/// virtual-count strategies can maintain their summary state.
 ///
 /// Entries can be *pinned* while a plan executor reads them, which exempts
 /// them from eviction: a fold's inputs stay resident (and keep counting
@@ -81,8 +81,8 @@ class DemotionSink {
 /// entry is replaced, evicted or removed, so it is the read concurrent
 /// callers use for whole chunks. `GetPinned` returns a raw pointer kept
 /// valid by a pin instead (the executor's fold inputs). The raw-pointer
-/// accessors `Get` and `Peek` remain for single-threaded callers: their
-/// pointer dies with the entry. Listeners fire while the affected shard's
+/// accessor `Peek` remains for single-threaded callers: its pointer dies
+/// with the entry. Listeners fire while the affected shard's
 /// lock is held (see CacheListener's contract). The default of one shard
 /// preserves the exact global eviction order of the serial cache;
 /// experiments that care about replacement fidelity use it, concurrent
@@ -111,7 +111,6 @@ class ChunkCache {
   /// Installs the demotion sink (warm tier); must outlive the cache. Not
   /// thread-safe: install before concurrent use. Null detaches.
   void set_demotion_sink(DemotionSink* sink) { sink_ = sink; }
-  DemotionSink* demotion_sink() const { return sink_; }
 
   int64_t capacity_bytes() const { return capacity_bytes_; }
   int64_t bytes_per_tuple() const { return bytes_per_tuple_; }
@@ -131,14 +130,10 @@ class ChunkCache {
   /// not count as a hit or miss.
   bool Contains(const CacheKey& key) const;
 
-  /// Returns the cached chunk and refreshes its clock value, or nullptr.
-  /// Counts a hit or miss. Single-threaded use only: the pointer is valid
-  /// until the entry is evicted or replaced, which a concurrent writer may
-  /// do at any time — concurrent readers use GetRef or GetPinned.
-  const ChunkData* Get(const CacheKey& key);
-
   /// Returns the cached chunk without touching replacement state or stats.
-  /// Same single-threaded pointer caveat as Get.
+  /// Single-threaded use only: the pointer is valid until the entry is
+  /// evicted or replaced, which a concurrent writer may do at any time —
+  /// concurrent readers use GetRef or GetPinned.
   const ChunkData* Peek(const CacheKey& key) const;
 
   /// Returns a shared ref to the cached chunk, or null on a miss. Counts a
@@ -184,14 +179,13 @@ class ChunkCache {
 
   /// Calls `fn` for every entry, in unspecified order. The entry infos are
   /// snapshotted shard by shard first and `fn` runs without any lock held,
-  /// so the callback may call back into the cache (Peek, Get, ...).
+  /// so the callback may call back into the cache (Peek, GetRef, ...).
   void ForEach(const std::function<void(const CacheEntryInfo&)>& fn) const;
 
-  /// Exhaustive structural self-check: per shard, bytes_used equals the sum
-  /// of entry sizes, class_bytes match, every ring position round-trips
-  /// through the entry map, hands point into their rings, and no shard
-  /// exceeds its capacity. Returns true when all invariants hold. Intended
-  /// for tests (quiesced cache); takes each shard lock in turn.
+  /// Exhaustive structural self-check: per shard, ClockMap::Validate (ring
+  /// and byte ledgers, hands, capacity) plus each entry's key, size, pin
+  /// count and policy class. Returns true when all invariants hold.
+  /// Intended for tests (quiesced cache); takes each shard lock in turn.
   bool ValidateInvariants() const;
 
   /// Sum of pin counts across all entries (each shard locked in turn).
@@ -200,13 +194,12 @@ class ChunkCache {
   int64_t TotalPinCount() const;
 
  private:
+  /// A shard's payload per key; ClockMap holds its clock value, class and
+  /// bytes (equal to `info.bytes`).
   struct Entry {
     ChunkRef data;
     CacheEntryInfo info;
-    double clock_value = 0.0;
     int32_t pin_count = 0;
-    int32_t victim_class = 0;
-    std::list<CacheKey>::iterator ring_pos;
   };
 
   /// A capacity-eviction victim collected under the shard lock, to be
@@ -216,22 +209,13 @@ class ChunkCache {
     ChunkRef data;
   };
 
-  using EntryMap = std::unordered_map<CacheKey, Entry, CacheKeyHash>;
-
-  /// One lock domain: entries, CLOCK rings/hands and byte accounting for
-  /// the keys that hash here.
+  /// One lock domain: the entries, CLOCK rings and byte budget
+  /// (capacity/num_shards) for the keys that hash here.
   struct Shard {
+    Shard(int64_t capacity, int num_classes)
+        : entries(capacity, num_classes) {}
     mutable Mutex mutex{LockRank::kCacheShard, "chunk_cache.shard"};
-    EntryMap entries AAC_GUARDED_BY(mutex);
-    // One CLOCK ring + hand per victim class, so a class-targeted sweep
-    // never walks entries of protected classes.
-    std::vector<std::list<CacheKey>> rings AAC_GUARDED_BY(mutex);
-    std::vector<std::list<CacheKey>::iterator> hands AAC_GUARDED_BY(mutex);
-    // Immutable after the cache constructor publishes the shard.
-    int64_t capacity = 0;
-    int64_t bytes_used AAC_GUARDED_BY(mutex) = 0;
-    // Bytes per victim class.
-    std::vector<int64_t> class_bytes AAC_GUARDED_BY(mutex);
+    ClockMap<CacheKey, Entry, CacheKeyHash> entries AAC_GUARDED_BY(mutex);
     CacheStats stats AAC_GUARDED_BY(mutex);
   };
 
@@ -250,18 +234,18 @@ class ChunkCache {
                     int64_t tuples, std::vector<Demoted>* demoted,
                     bool* erase_sink) AAC_REQUIRES(shard.mutex);
 
-  /// Frees at least `needed` bytes in `shard` by sweeping the per-class
-  /// clock rings; returns true on success. Entries the policy refuses to
-  /// replace or that are pinned are skipped (without decrement). Victims
-  /// demote into `*demoted` (see EvictEntry). Caller holds the shard lock.
-  bool EvictFor(Shard& shard, const CacheEntryInfo& incoming, int64_t needed,
+  /// Sweeps `shard` until `bytes` more fit; returns true on success.
+  /// Pinned entries and entries `incoming` may not replace are passed
+  /// over; victims go through EvictEntry into `*demoted`.
+  bool MakeRoom(Shard& shard, const CacheEntryInfo& incoming, int64_t bytes,
                 std::vector<Demoted>* demoted) AAC_REQUIRES(shard.mutex);
 
-  /// Removes the entry from the shard (bytes leave the hot accounting
-  /// here, atomically). With a sink installed and `demoted` non-null the
-  /// entry's ref is moved into `*demoted` for a post-unlock OnDemote;
-  /// otherwise the entry drops it. Null `demoted` = explicit removal.
-  void EvictEntry(Shard& shard, EntryMap::iterator it,
+  /// Accounts for an entry that has left `shard`'s store (its bytes left
+  /// the hot budget in the same critical section): counts the eviction and
+  /// tells the listeners. With a sink installed and `demoted` non-null the
+  /// entry's ref moves into `*demoted` for a post-unlock OnDemote. Null
+  /// `demoted` = explicit removal.
+  void EvictEntry(Shard& shard, const CacheKey& key, Entry&& entry,
                   std::vector<Demoted>* demoted) AAC_REQUIRES(shard.mutex);
 
   int64_t capacity_bytes_;

@@ -53,11 +53,9 @@ int64_t ExtentBytes(size_t blob_size) {
 
 }  // namespace
 
-DiskTier::DiskTier(Config config) : config_(std::move(config)) {
+DiskTier::DiskTier(Config config)
+    : config_(std::move(config)), entries_(config_.capacity_bytes) {
   AAC_CHECK(!config_.path.empty());
-  AAC_CHECK_GE(config_.capacity_bytes, 0);
-  MutexLock lock(mutex_);
-  hand_ = ring_.end();
 }
 
 DiskTier::~DiskTier() {
@@ -83,9 +81,18 @@ bool DiskTier::Admit(const CacheEntryInfo& info,
   }
   // Replacing an existing extent: the old one simply goes dead.
   auto existing = entries_.find(info.key);
-  if (existing != entries_.end()) DropEntry(existing, /*count_eviction=*/false);
-  const int64_t needed = live_bytes_ + extent - config_.capacity_bytes;
-  if (needed > 0 && !EvictFor(needed)) {
+  if (existing != entries_.end()) {
+    entries_.Erase(existing);
+    MaybeCompact();
+  }
+  // Eviction only drops index entries; their extents go dead.
+  const bool fits = entries_.MakeRoom(extent, [&](const CacheKey& /*key*/,
+                                                  Entry&& /*victim*/) {
+    mutex_.AssertHeld();
+    ++stats_.evictions;
+    MaybeCompact();
+  });
+  if (!fits) {
     ++stats_.rejected;
     return false;
   }
@@ -113,24 +120,16 @@ bool DiskTier::Admit(const CacheEntryInfo& info,
   file_bytes_ += extent;
   stats_.bytes_written += extent;
 
-  Entry entry;
-  entry.info = info;
-  entry.offset = offset;
-  entry.extent_bytes = extent;
-  entry.blob_bytes = static_cast<int64_t>(blob.size());
-  entry.clock_value = ReplacementPolicy::NormalizedWeight(info.benefit);
-  ring_.push_back(info.key);
-  entry.ring_pos = std::prev(ring_.end());
-  if (hand_ == ring_.end()) hand_ = entry.ring_pos;
-  live_bytes_ += extent;
-  entries_.emplace(info.key, std::move(entry));
+  entries_.Insert(info.key,
+                  Entry{info, offset, static_cast<int64_t>(blob.size())},
+                  extent, ReplacementPolicy::NormalizedWeight(info.benefit));
   ++stats_.admits;
   return true;
 }
 
 bool DiskTier::Contains(const CacheKey& key) const {
   MutexLock lock(mutex_);
-  return entries_.count(key) > 0;
+  return entries_.contains(key);
 }
 
 bool DiskTier::Read(const CacheKey& key, std::vector<uint8_t>* blob,
@@ -144,7 +143,7 @@ bool DiskTier::Read(const CacheKey& key, std::vector<uint8_t>* blob,
     return false;
   }
   AAC_CHECK(file_ != nullptr);
-  Entry& entry = it->second;
+  const Entry& entry = it->second.value;
   ExtentHeader header;
   bool torn =
       std::fseek(file_, static_cast<long>(entry.offset), SEEK_SET) != 0 ||
@@ -172,10 +171,12 @@ bool DiskTier::Read(const CacheKey& key, std::vector<uint8_t>* blob,
     // surface as a miss and forget the extent so we never re-read it.
     ++stats_.torn_reads;
     ++stats_.misses;
-    DropEntry(it, /*count_eviction=*/false);
+    entries_.Erase(it);
+    MaybeCompact();
     return false;
   }
-  entry.clock_value = ReplacementPolicy::NormalizedWeight(entry.info.benefit);
+  it->second.clock_value =
+      ReplacementPolicy::NormalizedWeight(entry.info.benefit);
   *info = entry.info;
   ++stats_.hits;
   return true;
@@ -185,7 +186,8 @@ void DiskTier::Erase(const CacheKey& key) {
   MutexLock lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
-  DropEntry(it, /*count_eviction=*/false);
+  entries_.Erase(it);
+  MaybeCompact();
 }
 
 DiskTierStats DiskTier::stats() const {
@@ -200,7 +202,7 @@ void DiskTier::ResetStats() {
 
 int64_t DiskTier::bytes_used() const {
   MutexLock lock(mutex_);
-  return live_bytes_;
+  return entries_.bytes();
 }
 
 size_t DiskTier::num_entries() const {
@@ -210,58 +212,17 @@ size_t DiskTier::num_entries() const {
 
 bool DiskTier::ValidateInvariants() const {
   MutexLock lock(mutex_);
-  int64_t bytes = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (!(key == entry.info.key)) return false;
-    if (entry.offset < 0 || entry.extent_bytes < 0) return false;
-    if (entry.offset + entry.extent_bytes > file_bytes_) return false;
-    if (entry.extent_bytes != ExtentBytes(static_cast<size_t>(
-                                  entry.blob_bytes))) {
-      return false;
-    }
-    if (!(*entry.ring_pos == key)) return false;
-    bytes += entry.extent_bytes;
-  }
-  if (bytes != live_bytes_) return false;
-  if (live_bytes_ > config_.capacity_bytes) return false;
-  if (ring_.size() != entries_.size()) return false;
-  for (const CacheKey& key : ring_) {
-    if (entries_.count(key) == 0) return false;
-  }
-  if (hand_ != ring_.end() && entries_.count(*hand_) == 0) return false;
-  return true;
-}
-
-bool DiskTier::EvictFor(int64_t needed) {
-  int64_t freed = 0;
-  int64_t budget = static_cast<int64_t>(ring_.size()) * 64 + 64;
-  while (freed < needed && budget-- > 0 && !ring_.empty()) {
-    if (hand_ == ring_.end()) hand_ = ring_.begin();
-    auto it = entries_.find(*hand_);
-    AAC_CHECK(it != entries_.end());
-    Entry& entry = it->second;
-    if (entry.clock_value <= 0.0) {
-      freed += entry.extent_bytes;
-      DropEntry(it, /*count_eviction=*/true);  // advances the hand
-      continue;
-    }
-    entry.clock_value -= 1.0;
-    ++hand_;
-  }
-  return freed >= needed;
-}
-
-void DiskTier::DropEntry(EntryMap::iterator it, bool count_eviction) {
-  if (hand_ == it->second.ring_pos) ++hand_;
-  ring_.erase(it->second.ring_pos);
-  live_bytes_ -= it->second.extent_bytes;
-  entries_.erase(it);
-  if (count_eviction) ++stats_.evictions;
-  MaybeCompact();
+  const int64_t file_bytes = file_bytes_;
+  return entries_.Validate([&](const CacheKey& key, const auto& slot) {
+    const Entry& entry = slot.value;
+    return key == entry.info.key && entry.offset >= 0 &&
+           entry.offset + slot.bytes <= file_bytes &&
+           slot.bytes == ExtentBytes(static_cast<size_t>(entry.blob_bytes));
+  });
 }
 
 void DiskTier::MaybeCompact() {
-  const int64_t dead = file_bytes_ - live_bytes_;
+  const int64_t dead = file_bytes_ - entries_.bytes();
   if (file_ == nullptr || dead <= 0 ||
       static_cast<double>(dead) <
           config_.compact_dead_fraction * static_cast<double>(file_bytes_)) {
@@ -279,7 +240,8 @@ void DiskTier::MaybeCompact() {
   std::vector<LiveExtent> live;
   live.reserve(entries_.size());
   std::vector<CacheKey> drop;
-  for (auto& [key, entry] : entries_) {
+  for (auto& [key, slot] : entries_) {
+    const Entry& entry = slot.value;
     LiveExtent ext;
     ext.key = key;
     bool torn =
@@ -300,13 +262,7 @@ void DiskTier::MaybeCompact() {
       live.push_back(std::move(ext));
     }
   }
-  for (const CacheKey& key : drop) {
-    auto it = entries_.find(key);
-    if (hand_ == it->second.ring_pos) ++hand_;
-    ring_.erase(it->second.ring_pos);
-    live_bytes_ -= it->second.extent_bytes;
-    entries_.erase(it);
-  }
+  for (const CacheKey& key : drop) entries_.Erase(entries_.find(key));
   std::FILE* fresh = std::freopen(config_.path.c_str(), "wb+", file_);
   if (fresh == nullptr) {
     // The old handle is gone with a failed freopen; without a file every
@@ -325,14 +281,11 @@ void DiskTier::MaybeCompact() {
          std::fwrite(ext.blob.data(), 1, ext.blob.size(), file_) !=
              ext.blob.size())) {
       ++stats_.write_failures;
-      if (hand_ == it->second.ring_pos) ++hand_;
-      ring_.erase(it->second.ring_pos);
-      live_bytes_ -= it->second.extent_bytes;
-      entries_.erase(it);
+      entries_.Erase(it);
       continue;
     }
-    it->second.offset = file_bytes_;
-    file_bytes_ += it->second.extent_bytes;
+    it->second.value.offset = file_bytes_;
+    file_bytes_ += it->second.bytes;
   }
   std::fflush(file_);
   ++stats_.compactions;

@@ -3,13 +3,12 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_entry.h"
+#include "cache/clock_map.h"
 #include "util/lockdep.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -39,14 +38,15 @@ struct DiskTierStats {
 /// (crash mid-append, truncated file) is detected on read and treated as a
 /// plain miss — the index entry is dropped and the caller falls through to
 /// the backend. The in-memory index maps CacheKey -> file extent under a
-/// byte budget with the same weighted-CLOCK discipline as the RAM tiers.
+/// byte budget, replaced by ClockMap's weighted CLOCK (DESIGN.md §3) in one
+/// class like the warm tier.
 ///
 /// Eviction only drops the index entry; the extent's bytes become dead.
 /// When dead bytes exceed half the file, the live extents are rewritten to
 /// a fresh file (offsets rebased) — cheap because the payloads are already
 /// compressed.
 ///
-/// Concurrency: one mutex guards the index, the CLOCK ring and the FILE
+/// Concurrency: one mutex guards the index (with its CLOCK ring) and the FILE
 /// handle (stdio seeks make per-handle serialization mandatory). Lock
 /// order: the warm tier calls into this class while holding no warm-tier
 /// lock state is required beyond "warm -> disk" (DESIGN.md §14); this
@@ -101,36 +101,28 @@ class DiskTier {
   int64_t bytes_used() const;
   size_t num_entries() const;
 
-  /// Structural self-check for tests on a quiesced tier: byte accounting,
-  /// ring/map round trips, budget, and extents within the file.
+  /// Structural self-check for tests on a quiesced tier: ClockMap::Validate
+  /// (ring and byte ledger, budget) and every extent within the file.
   bool ValidateInvariants() const;
 
  private:
+  /// One indexed extent; its ClockMap bytes are the full framed extent
+  /// size (the live-byte budget's unit).
   struct Entry {
     CacheEntryInfo info;
-    int64_t offset = 0;       // extent start in the spill file
-    int64_t extent_bytes = 0; // full framed extent size
+    int64_t offset = 0;  // extent start in the spill file
     int64_t blob_bytes = 0;
-    double clock_value = 0.0;
-    std::list<CacheKey>::iterator ring_pos;
   };
 
-  using EntryMap = std::unordered_map<CacheKey, Entry, CacheKeyHash>;
-
-  bool EvictFor(int64_t needed) AAC_REQUIRES(mutex_);
-  void DropEntry(EntryMap::iterator it, bool count_eviction)
-      AAC_REQUIRES(mutex_);
   /// Rewrites live extents into a fresh file when dead bytes dominate.
+  /// Runs after every dropped extent.
   void MaybeCompact() AAC_REQUIRES(mutex_);
 
   const Config config_;
   mutable Mutex mutex_{LockRank::kDiskTier, "disk_tier"};
   std::FILE* file_ AAC_GUARDED_BY(mutex_) = nullptr;
-  EntryMap entries_ AAC_GUARDED_BY(mutex_);
-  std::list<CacheKey> ring_ AAC_GUARDED_BY(mutex_);
-  std::list<CacheKey>::iterator hand_ AAC_GUARDED_BY(mutex_);
-  int64_t live_bytes_ AAC_GUARDED_BY(mutex_) = 0;   // indexed payload bytes
-  int64_t file_bytes_ AAC_GUARDED_BY(mutex_) = 0;   // bytes appended so far
+  ClockMap<CacheKey, Entry, CacheKeyHash> entries_ AAC_GUARDED_BY(mutex_);
+  int64_t file_bytes_ AAC_GUARDED_BY(mutex_) = 0;  // bytes appended so far
   DiskTierStats stats_ AAC_GUARDED_BY(mutex_);
 };
 

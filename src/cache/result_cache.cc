@@ -11,12 +11,12 @@
 
 namespace aac {
 
-ResultCache::ResultCache(Config config) : config_(config) {
+ResultCache::ResultCache(Config config)
+    : config_(config), entries_(config.capacity_bytes) {
   AAC_CHECK(config_.capacity_bytes > 0);
   AAC_CHECK(config_.bytes_per_tuple > 0);
-  AAC_CHECK(config_.max_entry_fraction > 0.0);
-  MutexLock lock(mutex_);
-  hand_ = ring_.end();
+  AAC_CHECK(config_.max_entry_fraction > 0.0 &&
+            config_.max_entry_fraction <= 1.0);
 }
 
 bool ResultCache::Probe(const ResultCacheKey& key, std::vector<ChunkRef>* out) {
@@ -29,14 +29,16 @@ bool ResultCache::Probe(const ResultCacheKey& key, std::vector<ChunkRef>* out) {
     return false;
   }
   ++stats_.hits;
-  it->second.clock_value = ReplacementPolicy::NormalizedWeight(it->second.benefit);
-  *out = it->second.chunks;  // refs only; the cells are shared, not copied
+  it->second.clock_value =
+      ReplacementPolicy::NormalizedWeight(it->second.value.benefit);
+  *out = it->second.value.chunks;  // refs only; the cells are shared
+
   return true;
 }
 
 bool ResultCache::Contains(const ResultCacheKey& key) const {
   MutexLock lock(mutex_);
-  return entries_.find(key) != entries_.end();
+  return entries_.contains(key);
 }
 
 namespace {
@@ -98,125 +100,78 @@ bool ResultCache::MaybeAdmit(const ResultCacheKey& key, GroupById gb,
           config_.max_entry_fraction *
               static_cast<double>(config_.capacity_bytes)) {
     ++stats_.rejected;
-    return entries_.count(key) > 0;
+    return entries_.contains(key);
   }
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Replace in place (e.g. re-admission after invalidation dropped the
     // old answer between this query's probe and its finish).
-    const int64_t delta = bytes - it->second.bytes;
-    if (delta > 0 && bytes_used_ + delta > config_.capacity_bytes &&
-        !EvictFor(delta, &key)) {
+    if (!MakeRoom(bytes - it->second.bytes, &key)) {
       ++stats_.rejected;
       return true;  // old answer stays; it is still correct
     }
-    it = entries_.find(key);  // EvictFor invalidates iterators, never `key`
-    AAC_CHECK(it != entries_.end());
-    bytes_used_ += delta;
-    it->second.gb = gb;
-    it->second.chunks = std::move(answer);
-    it->second.chunk_ids = std::move(ids);
-    it->second.bytes = bytes;
-    it->second.benefit = cost_tuples;
+    entries_.Update(it, bytes);  // the sweep never erases `key`
+    Entry& entry = it->second.value;
+    entry.gb = gb;
+    entry.chunks = std::move(answer);
+    entry.chunk_ids = std::move(ids);
+    entry.benefit = cost_tuples;
     it->second.clock_value = ReplacementPolicy::NormalizedWeight(cost_tuples);
     ++stats_.admitted;
     return true;
   }
-  if (bytes_used_ + bytes > config_.capacity_bytes &&
-      !EvictFor(bytes, /*protect=*/nullptr)) {
+  if (!MakeRoom(bytes, /*protect=*/nullptr)) {
     ++stats_.rejected;
     return false;
   }
-  Entry entry;
-  entry.gb = gb;
-  entry.chunks = std::move(answer);
-  entry.chunk_ids = std::move(ids);
-  entry.bytes = bytes;
-  entry.benefit = cost_tuples;
-  entry.clock_value = ReplacementPolicy::NormalizedWeight(cost_tuples);
-  ring_.push_back(key);
-  entry.ring_pos = std::prev(ring_.end());
-  if (hand_ == ring_.end()) hand_ = entry.ring_pos;
-  bytes_used_ += bytes;
-  entries_.emplace(key, std::move(entry));
+  entries_.Insert(key, Entry{gb, std::move(answer), std::move(ids), cost_tuples},
+                  bytes, ReplacementPolicy::NormalizedWeight(cost_tuples));
   ++stats_.admitted;
   return true;
 }
 
-bool ResultCache::EvictFor(int64_t needed, const ResultCacheKey* protect) {
-  // Weighted-CLOCK sweep, same discipline as the chunk cache: decrement and
-  // pass, evict at zero. The budget bounds the sweep even if every entry
-  // sits at the maximum clock value.
-  int64_t budget = static_cast<int64_t>(entries_.size()) * 64;
-  while (bytes_used_ + needed > config_.capacity_bytes) {
-    if (ring_.empty() || budget-- <= 0) return false;
-    if (hand_ == ring_.end()) hand_ = ring_.begin();
-    if (protect != nullptr && *hand_ == *protect) {
-      ++hand_;
-      if (ring_.size() == 1) return false;  // only the protected entry left
-      continue;
-    }
-    auto it = entries_.find(*hand_);
-    AAC_CHECK(it != entries_.end());
-    if (it->second.clock_value <= 0.0) {
-      DropEntry(it, &ResultCacheStats::evictions);
-    } else {
-      it->second.clock_value -= 1.0;
-      ++hand_;
-    }
-  }
-  return true;
+bool ResultCache::MakeRoom(int64_t bytes, const ResultCacheKey* protect) {
+  return entries_.MakeRoom(
+      bytes,
+      [&](const ResultCacheKey& /*key*/, Entry&& /*victim*/) {
+        mutex_.AssertHeld();
+        ++stats_.evictions;
+      },
+      [&](const ResultCacheKey& key, const Entry& /*entry*/) {
+        return protect == nullptr || !(key == *protect);
+      });
 }
 
-void ResultCache::DropEntry(EntryMap::iterator it,
-                            int64_t ResultCacheStats::*counter) {
-  if (hand_ == it->second.ring_pos) ++hand_;
-  ring_.erase(it->second.ring_pos);
-  bytes_used_ -= it->second.bytes;
-  stats_.*counter += 1;
-  entries_.erase(it);
+template <typename Stale>
+int64_t ResultCache::Invalidate(Stale stale) {
+  int64_t dropped = 0;
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    auto next = std::next(it);
+    if (stale(it->second.value)) {
+      entries_.Erase(it);
+      ++dropped;
+    }
+    it = next;
+  }
+  stats_.invalidated += dropped;
+  return dropped;
 }
 
 int64_t ResultCache::InvalidateForBaseChunks(
     const ChunkGrid& grid, std::span<const ChunkId> base_chunks) {
   const GroupById base = grid.lattice().base_id();
   MutexLock lock(mutex_);
-  int64_t dropped = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const Entry& entry = it->second;
-    bool stale = false;
+  return Invalidate([&](const Entry& entry) {
     for (ChunkId base_chunk : base_chunks) {
       const ChunkId affected =
           grid.ChildChunkNumber(base, base_chunk, entry.gb);
       if (std::binary_search(entry.chunk_ids.begin(), entry.chunk_ids.end(),
                              affected)) {
-        stale = true;
-        break;
+        return true;
       }
     }
-    if (stale) {
-      auto doomed = it++;
-      DropEntry(doomed, &ResultCacheStats::invalidated);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
-}
-
-void ResultCache::InvalidateChunk(const CacheKey& key) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const Entry& entry = it->second;
-    if (entry.gb == key.gb &&
-        std::binary_search(entry.chunk_ids.begin(), entry.chunk_ids.end(),
-                           key.chunk)) {
-      auto doomed = it++;
-      DropEntry(doomed, &ResultCacheStats::invalidated);
-    } else {
-      ++it;
-    }
-  }
+    return false;
+  });
 }
 
 void ResultCache::OnInsert(const CacheKey& key, int64_t tuples) {
@@ -228,7 +183,11 @@ void ResultCache::OnInsert(const CacheKey& key, int64_t tuples) {
 void ResultCache::OnUpdate(const CacheKey& key, int64_t tuples) {
   (void)tuples;
   MutexLock lock(mutex_);
-  InvalidateChunk(key);
+  Invalidate([&](const Entry& entry) {
+    return entry.gb == key.gb &&
+           std::binary_search(entry.chunk_ids.begin(), entry.chunk_ids.end(),
+                              key.chunk);
+  });
 }
 
 void ResultCache::OnEvict(const CacheKey& key) {
@@ -237,14 +196,6 @@ void ResultCache::OnEvict(const CacheKey& key) {
   // CacheInvalidator -> InvalidateForBaseChunks instead, because from here
   // an invalidation Remove is indistinguishable from a capacity eviction.
   (void)key;
-}
-
-void ResultCache::Clear() {
-  MutexLock lock(mutex_);
-  entries_.clear();
-  ring_.clear();
-  hand_ = ring_.end();
-  bytes_used_ = 0;
 }
 
 ResultCacheStats ResultCache::stats() const {
@@ -259,7 +210,7 @@ void ResultCache::ResetStats() {
 
 int64_t ResultCache::bytes_used() const {
   MutexLock lock(mutex_);
-  return bytes_used_;
+  return entries_.bytes();
 }
 
 size_t ResultCache::num_entries() const {
@@ -269,30 +220,18 @@ size_t ResultCache::num_entries() const {
 
 bool ResultCache::ValidateInvariants() const {
   MutexLock lock(mutex_);
-  if (ring_.size() != entries_.size()) return false;
-  int64_t bytes = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (*entry.ring_pos != key) return false;
-    int64_t entry_bytes = 0;
+  return entries_.Validate([&](const ResultCacheKey& /*key*/,
+                               const auto& slot) {
+    const Entry& entry = slot.value;
+    int64_t bytes = 0;
     for (const ChunkRef& data : entry.chunks) {
       if (data->gb != entry.gb) return false;
-      entry_bytes += data->LogicalBytes(config_.bytes_per_tuple);
+      bytes += data->LogicalBytes(config_.bytes_per_tuple);
     }
-    if (entry_bytes != entry.bytes) return false;
-    if (!std::is_sorted(entry.chunk_ids.begin(), entry.chunk_ids.end()))
-      return false;
-    if (entry.chunk_ids.size() != entry.chunks.size()) return false;
-    bytes += entry.bytes;
-  }
-  if (bytes != bytes_used_) return false;
-  if (bytes_used_ > config_.capacity_bytes) return false;
-  if (hand_ != ring_.end()) {
-    if (entries_.find(*hand_) == entries_.end()) return false;
-  }
-  for (const ResultCacheKey& key : ring_) {
-    if (entries_.find(key) == entries_.end()) return false;
-  }
-  return true;
+    return bytes == slot.bytes &&
+           std::is_sorted(entry.chunk_ids.begin(), entry.chunk_ids.end()) &&
+           entry.chunk_ids.size() == entry.chunks.size();
+  });
 }
 
 }  // namespace aac

@@ -3,13 +3,12 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cache/cache_entry.h"
+#include "cache/clock_map.h"
 #include "chunks/chunk_grid.h"
 #include "schema/level_vector.h"
 #include "storage/chunk_data.h"
@@ -75,11 +74,12 @@ struct ResultCacheStats {
 /// query — the engine's fold output trimmed to the key's value ranges, so
 /// the payload is the answer, not the covering chunks — with its own benefit
 /// weight (the tuples of fold + backend work a future hit avoids) and
-/// logical byte accounting, under the same weighted-CLOCK discipline as the
-/// chunk cache (ReplacementPolicy::NormalizedWeight compresses benefit to a
-/// bounded clock weight). Admission is cost-based: answers cheaper to
-/// recompute than `Config::min_admit_cost_tuples` are not worth a slot, and
-/// no entry may take more than `Config::max_entry_fraction` of capacity.
+/// logical byte accounting. Replacement is the chunk cache's weighted CLOCK
+/// (ClockMap, DESIGN.md §3) in one class, each entry weighted by
+/// ReplacementPolicy::NormalizedWeight of its recompute cost in tuples.
+/// Admission is cost-based: answers cheaper to recompute than
+/// `Config::min_admit_cost_tuples` are not worth a slot, and no entry may
+/// take more than `Config::max_entry_fraction` (at most 1) of capacity.
 ///
 /// Invalidation contract (DESIGN.md §12): capacity eviction never makes an
 /// answer wrong, so eviction is silent. An entry must be *invalidated* when
@@ -108,7 +108,8 @@ class ResultCache : public CacheListener {
     /// Answers whose recompute cost (in tuples of fold + backend-scan work)
     /// is below this are not admitted — a result slot must pay for itself.
     double min_admit_cost_tuples = 0.0;
-    /// No single answer may occupy more than this fraction of capacity.
+    /// No single answer may occupy more than this fraction of capacity;
+    /// in (0, 1].
     double max_entry_fraction = 0.5;
   };
 
@@ -157,51 +158,41 @@ class ResultCache : public CacheListener {
   void OnUpdate(const CacheKey& key, int64_t tuples) override;
   void OnEvict(const CacheKey& key) override;
 
-  void Clear();
-
   ResultCacheStats stats() const;
   void ResetStats();
   int64_t bytes_used() const;
   size_t num_entries() const;
 
-  /// Structural self-check: byte accounting matches entry sums, the ring
-  /// and map round-trip, the hand points into the ring, capacity holds.
-  /// For tests on a quiesced cache.
+  /// Structural self-check: ClockMap::Validate (ring and byte ledger,
+  /// capacity) plus each entry's chunk group-by, size and sorted ids. For
+  /// tests on a quiesced cache.
   bool ValidateInvariants() const;
 
  private:
+  /// One stored answer; its ClockMap bytes are the answer's logical bytes.
   struct Entry {
     GroupById gb = -1;
     std::vector<ChunkRef> chunks;
     /// Chunk ids of `chunks`, sorted, for invalidation membership tests.
     std::vector<ChunkId> chunk_ids;
-    int64_t bytes = 0;
     double benefit = 0.0;  // recompute cost in tuples
-    double clock_value = 0.0;
-    std::list<ResultCacheKey>::iterator ring_pos;
   };
 
-  using EntryMap = std::unordered_map<ResultCacheKey, Entry, ResultCacheKeyHash>;
-
-  /// Frees at least `needed` bytes by sweeping the CLOCK ring; returns true
-  /// on success. `protect` (may be null) is skipped without decrement — the
-  /// replace-in-place path must not evict the key it is replacing.
-  bool EvictFor(int64_t needed, const ResultCacheKey* protect)
+  /// Sweeps until `bytes` more fit; returns true on success. `protect`
+  /// (may be null) is passed over without decrement — the replace-in-place
+  /// path must not evict the key it is replacing.
+  bool MakeRoom(int64_t bytes, const ResultCacheKey* protect)
       AAC_REQUIRES(mutex_);
 
-  /// Removes `it`, charging `counter` (evictions vs. invalidations).
-  void DropEntry(EntryMap::iterator it, int64_t ResultCacheStats::*counter)
-      AAC_REQUIRES(mutex_);
-
-  /// Drops every entry containing chunk `key`; OnUpdate's worker.
-  void InvalidateChunk(const CacheKey& key) AAC_REQUIRES(mutex_);
+  /// Drops every entry for which `stale(entry)` holds, counting each as
+  /// invalidated; returns how many.
+  template <typename Stale>
+  int64_t Invalidate(Stale stale) AAC_REQUIRES(mutex_);
 
   const Config config_;
   mutable Mutex mutex_{LockRank::kResultCache, "result_cache"};
-  EntryMap entries_ AAC_GUARDED_BY(mutex_);
-  std::list<ResultCacheKey> ring_ AAC_GUARDED_BY(mutex_);
-  std::list<ResultCacheKey>::iterator hand_ AAC_GUARDED_BY(mutex_);
-  int64_t bytes_used_ AAC_GUARDED_BY(mutex_) = 0;
+  ClockMap<ResultCacheKey, Entry, ResultCacheKeyHash> entries_
+      AAC_GUARDED_BY(mutex_);
   ResultCacheStats stats_ AAC_GUARDED_BY(mutex_);
 };
 

@@ -17,11 +17,9 @@ constexpr int64_t kFlightWaitSliceNanos = 2 * 1000 * 1000;
 
 }  // namespace
 
-WarmTier::WarmTier(Config config) : config_(std::move(config)) {
-  AAC_CHECK_GE(config_.capacity_bytes, 0);
+WarmTier::WarmTier(Config config)
+    : config_(std::move(config)), entries_(config_.capacity_bytes) {
   AAC_CHECK_GT(config_.num_dims, 0);
-  MutexLock lock(mutex_);
-  hand_ = ring_.end();
 }
 
 WarmTier::~WarmTier() = default;
@@ -57,25 +55,19 @@ void WarmTier::OnDemote(const CacheEntryInfo& info, ChunkData&& data) {
     }
     // Re-demotion over a stale resident copy replaces it.
     auto existing = entries_.find(info.key);
-    if (existing != entries_.end()) {
-      bytes_used_ -= static_cast<int64_t>(existing->second.blob->size());
-      if (hand_ == existing->second.ring_pos) ++hand_;
-      ring_.erase(existing->second.ring_pos);
-      entries_.erase(existing);
-    }
-    const int64_t needed = bytes_used_ + encoded - config_.capacity_bytes;
-    if (needed > 0 && !EvictFor(needed, &spilled)) {
+    if (existing != entries_.end()) entries_.Erase(existing);
+    // CLOCK victims are offered to the disk tier after unlocking.
+    const bool fits =
+        entries_.MakeRoom(encoded, [&](const CacheKey& /*key*/, Entry&& victim) {
+          mutex_.AssertHeld();
+          ++stats_.evictions;
+          spilled.push_back(std::move(victim));
+        });
+    if (!fits) {
       ++stats_.capacity_rejected;
     } else {
-      Entry entry;
-      entry.blob = std::move(blob);
-      entry.info = info;
-      entry.clock_value = ReplacementPolicy::NormalizedWeight(info.benefit);
-      ring_.push_back(info.key);
-      entry.ring_pos = std::prev(ring_.end());
-      if (hand_ == ring_.end()) hand_ = entry.ring_pos;
-      bytes_used_ += encoded;
-      entries_.emplace(info.key, std::move(entry));
+      entries_.Insert(info.key, Entry{std::move(blob), info}, encoded,
+                      ReplacementPolicy::NormalizedWeight(info.benefit));
       ++stats_.admits;
       stats_.demoted_raw_bytes += info.bytes;
       stats_.demoted_encoded_bytes += encoded;
@@ -101,10 +93,7 @@ void WarmTier::OnErase(const CacheKey& key) {
     MutexLock lock(mutex_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      bytes_used_ -= static_cast<int64_t>(it->second.blob->size());
-      if (hand_ == it->second.ring_pos) ++hand_;
-      ring_.erase(it->second.ring_pos);
-      entries_.erase(it);
+      entries_.Erase(it);
       ++stats_.erased;
     }
   }
@@ -134,8 +123,8 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
     } else {
       auto it = entries_.find(key);
       if (it != entries_.end()) {
-        blob = it->second.blob;
-        info = it->second.info;
+        blob = it->second.value.blob;
+        info = it->second.value.info;
         it->second.clock_value =
             ReplacementPolicy::NormalizedWeight(info.benefit);
       } else if (config_.disk != nullptr && config_.disk->Contains(key)) {
@@ -230,11 +219,8 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
         if (!from_disk) {
           // Drop the corrupt resident blob so it is never probed again.
           auto it = entries_.find(key);
-          if (it != entries_.end() && it->second.blob == blob) {
-            bytes_used_ -= static_cast<int64_t>(it->second.blob->size());
-            if (hand_ == it->second.ring_pos) ++hand_;
-            ring_.erase(it->second.ring_pos);
-            entries_.erase(it);
+          if (it != entries_.end() && it->second.value.blob == blob) {
+            entries_.Erase(it);
           }
         }
       }
@@ -253,7 +239,7 @@ bool WarmTier::Probe(const CacheKey& key, const ExecContext* ctx,
 
 bool WarmTier::Contains(const CacheKey& key) const {
   MutexLock lock(mutex_);
-  if (entries_.count(key) > 0) return true;
+  if (entries_.contains(key)) return true;
   return config_.disk != nullptr && config_.disk->Contains(key);
 }
 
@@ -269,7 +255,7 @@ void WarmTier::ResetStats() {
 
 int64_t WarmTier::bytes_used() const {
   MutexLock lock(mutex_);
-  return bytes_used_;
+  return entries_.bytes();
 }
 
 size_t WarmTier::num_entries() const {
@@ -279,47 +265,12 @@ size_t WarmTier::num_entries() const {
 
 bool WarmTier::ValidateInvariants() const {
   MutexLock lock(mutex_);
-  if (!flights_.empty()) return false;
-  int64_t bytes = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.blob == nullptr) return false;
-    if (!(key == entry.info.key)) return false;
-    if (!(*entry.ring_pos == key)) return false;
-    bytes += static_cast<int64_t>(entry.blob->size());
-  }
-  if (bytes != bytes_used_) return false;
-  if (bytes_used_ > config_.capacity_bytes) return false;
-  if (ring_.size() != entries_.size()) return false;
-  for (const CacheKey& key : ring_) {
-    if (entries_.count(key) == 0) return false;
-  }
-  if (hand_ != ring_.end() && entries_.count(*hand_) == 0) return false;
-  return true;
-}
-
-bool WarmTier::EvictFor(int64_t needed, std::vector<Entry>* spilled) {
-  int64_t freed = 0;
-  int64_t budget = static_cast<int64_t>(ring_.size()) * 64 + 64;
-  while (freed < needed && budget-- > 0 && !ring_.empty()) {
-    if (hand_ == ring_.end()) hand_ = ring_.begin();
-    auto it = entries_.find(*hand_);
-    AAC_CHECK(it != entries_.end());
-    Entry& entry = it->second;
-    if (entry.clock_value <= 0.0) {
-      const int64_t size = static_cast<int64_t>(entry.blob->size());
-      freed += size;
-      bytes_used_ -= size;
-      ++stats_.evictions;
-      if (hand_ == entry.ring_pos) ++hand_;
-      ring_.erase(entry.ring_pos);
-      spilled->push_back(std::move(entry));
-      entries_.erase(it);
-      continue;
-    }
-    entry.clock_value -= 1.0;
-    ++hand_;
-  }
-  return freed >= needed;
+  return flights_.empty() &&
+         entries_.Validate([](const CacheKey& key, const auto& slot) {
+           const Entry& entry = slot.value;
+           return entry.blob != nullptr && key == entry.info.key &&
+                  slot.bytes == static_cast<int64_t>(entry.blob->size());
+         });
 }
 
 }  // namespace aac

@@ -2,12 +2,12 @@
 #define AAC_CACHE_WARM_TIER_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/chunk_cache.h"
+#include "cache/clock_map.h"
 #include "cache/disk_tier.h"
 #include "storage/chunk_data.h"
 #include "util/deadline.h"
@@ -56,9 +56,10 @@ struct WarmProbeResult {
 };
 
 /// Second cache tier: chunks demoted from the hot ChunkCache, held
-/// *compressed* in RAM (chunk_codec blobs) under an encoded-byte budget
-/// with weighted-CLOCK replacement, and optionally spilled to a DiskTier
-/// when evicted from here too.
+/// *compressed* in RAM (chunk_codec blobs) under an encoded-byte budget,
+/// and optionally spilled to a DiskTier when evicted from here too.
+/// Replacement is ClockMap's weighted CLOCK (DESIGN.md §3) in one class,
+/// each entry weighted by NormalizedWeight(benefit).
 ///
 /// Demotion (DemotionSink, driven by the hot cache with no locks held):
 /// offers below the benefit-per-byte gate are dropped — junk is not worth
@@ -123,18 +124,18 @@ class WarmTier : public DemotionSink {
   int64_t bytes_used() const;
   size_t num_entries() const;
 
-  /// Structural self-check for tests on a quiesced tier: encoded-byte
-  /// accounting, ring/map round trips, budget, and no decode in flight.
+  /// Structural self-check for tests on a quiesced tier: ClockMap::Validate
+  /// (ring and encoded-byte ledger, budget), each entry's blob and key, and
+  /// no decode in flight.
   bool ValidateInvariants() const;
 
  private:
+  /// A resident blob; its ClockMap bytes are the encoded size.
   struct Entry {
     /// Immutable once published; shared so a leader can decode after the
     /// entry is concurrently erased.
     std::shared_ptr<const std::vector<uint8_t>> blob;
     CacheEntryInfo info;
-    double clock_value = 0.0;
-    std::list<CacheKey>::iterator ring_pos;
   };
 
   /// One single-flighted decode. Followers hold the shared_ptr across the
@@ -149,24 +150,14 @@ class WarmTier : public DemotionSink {
     bool from_disk = false;
   };
 
-  using EntryMap = std::unordered_map<CacheKey, Entry, CacheKeyHash>;
   using FlightMap =
       std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash>;
-
-  /// Frees at least `needed` encoded bytes via the CLOCK sweep, moving the
-  /// victims' entries into `*spilled` for the caller to offer to the disk
-  /// tier after unlocking. Returns true on success.
-  bool EvictFor(int64_t needed, std::vector<Entry>* spilled)
-      AAC_REQUIRES(mutex_);
 
   const Config config_;
   mutable Mutex mutex_{LockRank::kWarmTier, "warm_tier"};
   CondVar flight_cv_;  // notified when any flight completes
-  EntryMap entries_ AAC_GUARDED_BY(mutex_);
+  ClockMap<CacheKey, Entry, CacheKeyHash> entries_ AAC_GUARDED_BY(mutex_);
   FlightMap flights_ AAC_GUARDED_BY(mutex_);
-  std::list<CacheKey> ring_ AAC_GUARDED_BY(mutex_);
-  std::list<CacheKey>::iterator hand_ AAC_GUARDED_BY(mutex_);
-  int64_t bytes_used_ AAC_GUARDED_BY(mutex_) = 0;  // encoded resident bytes
   WarmTierStats stats_ AAC_GUARDED_BY(mutex_);
 };
 

@@ -92,6 +92,11 @@ class AAC_CAPABILITY("mutex") Mutex {
   bool TryLock() AAC_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 #endif
 
+  /// Tells the thread-safety analysis that the caller holds this mutex:
+  /// for callbacks that run inside a locked region (a lambda is a separate
+  /// function to the analysis). No runtime check.
+  void AssertHeld() const AAC_ASSERT_CAPABILITY(this) {}
+
  private:
   friend class CondVar;
   std::mutex mu_;

@@ -55,7 +55,7 @@ class ChunkCacheTest : public ::testing::Test {
 TEST_F(ChunkCacheTest, InsertAndGet) {
   EXPECT_TRUE(cache_.Insert(MakeChunk(1, 2, 3), 5.0, ChunkSource::kBackend));
   EXPECT_TRUE(cache_.Contains({1, 2}));
-  const ChunkData* got = cache_.Get({1, 2});
+  ChunkRef got = cache_.GetRef({1, 2});
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->tuple_count(), 3);
   EXPECT_EQ(cache_.bytes_used(), 30);
@@ -63,7 +63,7 @@ TEST_F(ChunkCacheTest, InsertAndGet) {
 }
 
 TEST_F(ChunkCacheTest, GetMissCountsMiss) {
-  EXPECT_EQ(cache_.Get({9, 9}), nullptr);
+  EXPECT_EQ(cache_.GetRef({9, 9}), nullptr);
   EXPECT_EQ(cache_.stats().misses, 1);
   EXPECT_EQ(cache_.stats().hits, 0);
 }
@@ -125,7 +125,7 @@ TEST_F(ChunkCacheTest, ReinsertReplacesDataInPlace) {
   ASSERT_TRUE(cache_.Insert(std::move(fresh), 2.0, ChunkSource::kBackend));
   EXPECT_EQ(cache_.num_entries(), 1u);
   EXPECT_EQ(cache_.bytes_used(), 40);  // 4 tuples * 10 bytes, not stale 30
-  const ChunkData* got = cache_.Get({1, 1});
+  ChunkRef got = cache_.GetRef({1, 1});
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->tuple_count(), 4);
   EXPECT_DOUBLE_EQ(got->cells[0].measure, 99.0);
@@ -162,7 +162,7 @@ TEST_F(ChunkCacheTest, ReinsertGrowthEvictsOthersToFit) {
   ASSERT_TRUE(cache_.Insert(MakeChunk(1, 0, 4), 1.0, ChunkSource::kBackend));
   ASSERT_TRUE(cache_.Insert(MakeChunk(1, 1, 4), 0.0, ChunkSource::kBackend));
   ASSERT_TRUE(cache_.Insert(MakeChunk(1, 0, 8), 5.0, ChunkSource::kBackend));
-  EXPECT_EQ(cache_.Get({1, 0})->tuple_count(), 8);
+  EXPECT_EQ(cache_.GetRef({1, 0})->tuple_count(), 8);
   EXPECT_FALSE(cache_.Contains({1, 1}));
   EXPECT_EQ(cache_.bytes_used(), 80);
 }
@@ -403,9 +403,9 @@ TEST_F(ChunkCacheTest, ForEachVisitsAllEntries) {
 
 TEST_F(ChunkCacheTest, StatsCountHitsAndInserts) {
   cache_.Insert(MakeChunk(1, 0, 1), 1.0, ChunkSource::kBackend);
-  cache_.Get({1, 0});
-  cache_.Get({1, 0});
-  cache_.Get({2, 2});
+  cache_.GetRef({1, 0});
+  cache_.GetRef({1, 0});
+  cache_.GetRef({2, 2});
   EXPECT_EQ(cache_.stats().inserts, 1);
   EXPECT_EQ(cache_.stats().hits, 2);
   EXPECT_EQ(cache_.stats().misses, 1);

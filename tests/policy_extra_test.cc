@@ -52,7 +52,7 @@ TEST(LruPolicy, ReuseProtects) {
   ChunkCache cache(40, 10, &p);
   ASSERT_TRUE(cache.Insert(MakeChunk(1, 0, 2), 1.0, ChunkSource::kBackend));
   ASSERT_TRUE(cache.Insert(MakeChunk(1, 1, 2), 1.0, ChunkSource::kBackend));
-  cache.Get({1, 0});  // refresh
+  cache.GetRef({1, 0});  // refresh
   // Sweep order still starts at {1,0}: it gets decremented to 0, then {1,1}
   // is decremented; second revolution evicts {1,0} first under pure CLOCK.
   // With equal weights the evicted entry is simply the first to reach zero

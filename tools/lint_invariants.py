@@ -63,6 +63,11 @@ it enforces the invariants that keep the clang gate meaningful:
       recurse through FindPlan), src/backend/ (it defines the cost model and
       the estimate) and workload/experiment.cc's benefit-model overhead read
       are allow-listed.
+  R10 One CLOCK: the weighted-CLOCK replacement of every cache tier lives in
+      src/cache/clock_map.h. A clock-value decrement (`clock_value -=`) or a
+      CLOCK ring/hand member (a std::list-typed ring, hand or ring position)
+      anywhere else in src/ is a second copy of the sweep that can drift
+      from the first; the owner holds a ClockMap instead.
 
 Exit status 0 with no output (beyond the summary) when clean; 1 with one
 line per finding otherwise.
@@ -140,17 +145,27 @@ def check_raw_locks():
 # --------------------------------------------------------------------------
 
 ANNOTATION_TABLE = [
-    # ChunkCache: per-shard state and the eviction helpers that assume the
+    # ChunkCache: per-shard state (the shard's ClockMap holds the entries,
+    # CLOCK rings and byte ledger) and the eviction helpers that assume the
     # shard lock is held.
     ("src/cache/chunk_cache.h",
-     r"entries\s+AAC_GUARDED_BY\(mutex\)",
-     "Shard::entries must be AAC_GUARDED_BY(mutex)"),
+     r"ClockMap<[^;]*>\s+entries\s+AAC_GUARDED_BY\(mutex\)",
+     "Shard::entries (the shard's ClockMap) must be AAC_GUARDED_BY(mutex)"),
     ("src/cache/chunk_cache.h",
-     r"EvictFor\([^;]*\)\s*AAC_REQUIRES\(shard\.mutex\)",
-     "EvictFor must carry AAC_REQUIRES(shard.mutex)"),
+     r"CacheStats\s+stats\s+AAC_GUARDED_BY\(mutex\)",
+     "Shard::stats must be AAC_GUARDED_BY(mutex)"),
+    ("src/cache/chunk_cache.h",
+     r"MakeRoom\([^;]*\)\s*AAC_REQUIRES\(shard\.mutex\)",
+     "ChunkCache::MakeRoom must carry AAC_REQUIRES(shard.mutex)"),
     ("src/cache/chunk_cache.h",
      r"EvictEntry\([^;]*\)\s*AAC_REQUIRES\(shard\.mutex\)",
      "EvictEntry must carry AAC_REQUIRES(shard.mutex)"),
+    # The CLOCK victim callbacks are lambdas, which the analysis checks as
+    # separate functions; they re-establish the owner's lock through
+    # AssertHeld, so its capability annotation must stay.
+    ("src/util/mutex.h",
+     r"AssertHeld\(\)\s*const\s*AAC_ASSERT_CAPABILITY\(this\)",
+     "Mutex::AssertHeld must carry AAC_ASSERT_CAPABILITY(this)"),
     # Circuit breaker: the half-open single-probe invariant lives in
     # probe_inflight_; TransitionIfCooledDown mutates state under the lock.
     ("src/core/circuit_breaker.h",
@@ -199,49 +214,48 @@ ANNOTATION_TABLE = [
      r"HasCapacityLocked\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
      "AdmissionController::HasCapacityLocked must carry "
      "AAC_REQUIRES(mutex_)"),
-    # Result cache: every map/ring/byte-count mutation happens under the one
-    # result-cache mutex; the CLOCK sweep assumes it is held.
+    # Result cache: every map/ring/byte-count mutation happens in its
+    # ClockMap under the one result-cache mutex; the CLOCK sweep and the
+    # invalidation walk assume it is held.
     ("src/cache/result_cache.h",
-     r"entries_\s+AAC_GUARDED_BY\(mutex_\)",
-     "ResultCache::entries_ must be AAC_GUARDED_BY(mutex_)"),
-    ("src/cache/result_cache.h",
-     r"ring_\s+AAC_GUARDED_BY\(mutex_\)",
-     "ResultCache::ring_ must be AAC_GUARDED_BY(mutex_)"),
-    ("src/cache/result_cache.h",
-     r"bytes_used_\s+AAC_GUARDED_BY\(mutex_\)",
-     "ResultCache::bytes_used_ must be AAC_GUARDED_BY(mutex_)"),
+     r"ClockMap<[^;]*>\s+entries_\s+AAC_GUARDED_BY\(mutex_\)",
+     "ResultCache::entries_ (its ClockMap) must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/result_cache.h",
      r"stats_\s+AAC_GUARDED_BY\(mutex_\)",
      "ResultCache::stats_ must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/result_cache.h",
-     r"EvictFor\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
-     "ResultCache::EvictFor must carry AAC_REQUIRES(mutex_)"),
-    # Warm tier: entries, the single-flight decode map and the CLOCK ring
-    # all mutate under the one warm mutex; EvictFor hands victims to the
-    # disk tier only after unlocking, so it must prove the lock is held.
+     r"MakeRoom\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
+     "ResultCache::MakeRoom must carry AAC_REQUIRES(mutex_)"),
+    ("src/cache/result_cache.h",
+     r"Invalidate\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
+     "ResultCache::Invalidate must carry AAC_REQUIRES(mutex_)"),
+    # Warm tier: the ClockMap (entries, CLOCK ring, encoded-byte ledger) and
+    # the single-flight decode map all mutate under the one warm mutex; CLOCK
+    # victims reach the disk tier only after unlocking.
     ("src/cache/warm_tier.h",
-     r"entries_\s+AAC_GUARDED_BY\(mutex_\)",
-     "WarmTier::entries_ must be AAC_GUARDED_BY(mutex_)"),
+     r"ClockMap<[^;]*>\s+entries_\s+AAC_GUARDED_BY\(mutex_\)",
+     "WarmTier::entries_ (its ClockMap) must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/warm_tier.h",
      r"flights_\s+AAC_GUARDED_BY\(mutex_\)",
      "WarmTier::flights_ must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/warm_tier.h",
-     r"bytes_used_\s+AAC_GUARDED_BY\(mutex_\)",
-     "WarmTier::bytes_used_ must be AAC_GUARDED_BY(mutex_)"),
-    ("src/cache/warm_tier.h",
-     r"EvictFor\([^;]*\)[^;]*AAC_REQUIRES\(mutex_\)",
-     "WarmTier::EvictFor must carry AAC_REQUIRES(mutex_)"),
-    # Disk tier: the spill-file handle and extent index share one mutex;
-    # compaction rewrites the file and so assumes it too.
+     r"WarmTierStats\s+stats_\s+AAC_GUARDED_BY\(mutex_\)",
+     "WarmTier::stats_ must be AAC_GUARDED_BY(mutex_)"),
+    # Disk tier: the spill-file handle and the extent index (a ClockMap with
+    # the live-byte ledger) share one mutex; compaction rewrites the file
+    # and so assumes it too.
     ("src/cache/disk_tier.h",
      r"file_\s+AAC_GUARDED_BY\(mutex_\)",
      "DiskTier::file_ must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/disk_tier.h",
-     r"entries_\s+AAC_GUARDED_BY\(mutex_\)",
-     "DiskTier::entries_ must be AAC_GUARDED_BY(mutex_)"),
+     r"file_bytes_\s+AAC_GUARDED_BY\(mutex_\)",
+     "DiskTier::file_bytes_ must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/disk_tier.h",
-     r"live_bytes_\s+AAC_GUARDED_BY\(mutex_\)",
-     "DiskTier::live_bytes_ must be AAC_GUARDED_BY(mutex_)"),
+     r"ClockMap<[^;]*>\s+entries_\s+AAC_GUARDED_BY\(mutex_\)",
+     "DiskTier::entries_ (its ClockMap) must be AAC_GUARDED_BY(mutex_)"),
+    ("src/cache/disk_tier.h",
+     r"DiskTierStats\s+stats_\s+AAC_GUARDED_BY\(mutex_\)",
+     "DiskTier::stats_ must be AAC_GUARDED_BY(mutex_)"),
     ("src/cache/disk_tier.h",
      r"MaybeCompact\(\)\s*AAC_REQUIRES\(mutex_\)",
      "DiskTier::MaybeCompact must carry AAC_REQUIRES(mutex_)"),
@@ -622,6 +636,33 @@ def check_routing_confined():
                     )
 
 
+# --------------------------------------------------------------------------
+# R10: one CLOCK — ring, hand and sweep only in the ClockMap template.
+# --------------------------------------------------------------------------
+
+CLOCK_HOME = REPO / "src" / "cache" / "clock_map.h"
+CLOCK_TOKENS = [
+    (re.compile(r"\bclock_value\s*-="), "clock-value decrement"),
+    (re.compile(r"\bstd::list<[^;]*\b(rings?|hands?|ring_pos)_?\s*"
+                r"(AAC_\w+\s*\(|[;={])"),
+     "CLOCK ring/hand member"),
+]
+
+
+def check_one_clock():
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".h", ".cc") or path == CLOCK_HOME:
+            continue
+        for lineno, code in source_lines(path):
+            for pattern, what in CLOCK_TOKENS:
+                if pattern.search(code):
+                    finding(
+                        path, lineno, "R10-one-clock",
+                        f"{what} outside src/cache/clock_map.h — cache tiers "
+                        "hold a ClockMap and share its one sweep",
+                    )
+
+
 def main():
     check_raw_locks()
     check_annotation_table()
@@ -632,6 +673,7 @@ def main():
     check_intrinsics_confined()
     check_lock_ranks()
     check_routing_confined()
+    check_one_clock()
     if findings:
         for line in findings:
             print(line)
