@@ -126,6 +126,12 @@ TEST(ClockMap, RevolutionWithNothingEligibleEndsTheClass) {
   EXPECT_EQ(sweep.visits, 3);
   EXPECT_EQ(sweep.victims, std::vector<int>{2});
   EXPECT_DOUBLE_EQ(map.find(1)->second.clock_value, 1.0);
+  // The hand wrapped back onto entry 1 before the class ended, so an entry
+  // pushed behind it does not take the hand: 1 (now eligible) goes first.
+  map.Insert(3, 0, 10, 1.0, /*victim_class=*/0);
+  Sweep again;
+  ASSERT_TRUE(again.Run(map, 10));
+  EXPECT_EQ(again.victims, std::vector<int>{1});
 }
 
 TEST(ClockMap, ClassesAreSweptInOrder) {
@@ -161,15 +167,16 @@ TEST(ClockMap, EraseAtTheHandMovesItToTheNextEntry) {
   map.Insert(5, 0, 10, 0.0);
   ASSERT_TRUE(sweep.Run(map, 10));
   EXPECT_EQ(sweep.victims, (std::vector<int>{1, 3}));
-  // A hand parked at end() moves onto the next entry pushed to its ring.
-  IntClockMap parked(10);
-  parked.Insert(1, 0, 10, 0.0);
+  // Erasing the ring's last member parks the hand at end(); it moves onto
+  // the next entry pushed to the ring instead of wrapping to the front.
+  IntClockMap parked(20);
+  parked.Insert(1, 0, 10, 1.0);
+  parked.Insert(2, 0, 10, 0.0);
   Sweep drain;
+  ASSERT_TRUE(drain.Run(parked, 10));  // 1 decremented to 0, 2 evicted
+  parked.Insert(3, 0, 10, 0.0);
   ASSERT_TRUE(drain.Run(parked, 10));
-  parked.Insert(2, 0, 5, 0.0);
-  parked.Insert(3, 0, 5, 0.0);
-  ASSERT_TRUE(drain.Run(parked, 5));
-  EXPECT_EQ(drain.victims, (std::vector<int>{1, 2}));
+  EXPECT_EQ(drain.victims, (std::vector<int>{2, 3}));
   EXPECT_TRUE(map.Validate());
   EXPECT_TRUE(parked.Validate());
 }
