@@ -31,8 +31,8 @@ bool ResultCache::Probe(const ResultCacheKey& key, std::vector<ChunkRef>* out) {
   ++stats_.hits;
   it->second.clock_value =
       ReplacementPolicy::NormalizedWeight(it->second.value.benefit);
-  *out = it->second.value.chunks;  // refs only; the cells are shared
-
+  // Refs only; the cells are shared, not copied.
+  *out = it->second.value.chunks;
   return true;
 }
 
@@ -124,7 +124,8 @@ bool ResultCache::MaybeAdmit(const ResultCacheKey& key, GroupById gb,
     ++stats_.rejected;
     return false;
   }
-  entries_.Insert(key, Entry{gb, std::move(answer), std::move(ids), cost_tuples},
+  entries_.Insert(key,
+                  Entry{gb, std::move(answer), std::move(ids), cost_tuples},
                   bytes, ReplacementPolicy::NormalizedWeight(cost_tuples));
   ++stats_.admitted;
   return true;

@@ -57,8 +57,8 @@ void WarmTier::OnDemote(const CacheEntryInfo& info, ChunkData&& data) {
     auto existing = entries_.find(info.key);
     if (existing != entries_.end()) entries_.Erase(existing);
     // CLOCK victims are offered to the disk tier after unlocking.
-    const bool fits =
-        entries_.MakeRoom(encoded, [&](const CacheKey& /*key*/, Entry&& victim) {
+    const bool fits = entries_.MakeRoom(
+        encoded, [&](const CacheKey& /*key*/, Entry&& victim) {
           mutex_.AssertHeld();
           ++stats_.evictions;
           spilled.push_back(std::move(victim));
